@@ -4,7 +4,7 @@ reflection-formula checks, clustering statistics, and Littlewood sums."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +46,16 @@ def verify_count(F, T, profile=None, strip=None, parallelism=1, seed=0) -> Count
 
 
 def zero_list(F, T1, T2, strip=None, profile=None, isolation_tol=1e-9,
-              parallelism=1):
-    """Located zeros with T1 < gamma < T2, band by band, sorted by height."""
+              parallelism=1, seed=0):
+    """Located zeros with T1 < gamma < T2, band by band, sorted by height.
+
+    seed jitters the band edges, as in count_nontrivial.
+    """
     if profile is None:
         profile = _expr.degree_profile(F)
     if strip is None:
         strip = _zeros.zero_free_bounds(F, profile)
-    edges = _zeros._band_edges(T1, T2, seed=0)
+    edges = _zeros._band_edges(T1, T2, seed)
     rects = [
         _zeros.Rectangle(strip.E1, strip.E2, a, b)
         for a, b in zip(edges, edges[1:])

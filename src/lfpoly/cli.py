@@ -17,7 +17,7 @@ import os
 import sys
 import warnings
 
-from . import analysis, expr as _expr, exprfile, zeros as _zeros
+from . import analysis, expr as _expr, exprfile
 from .errors import ExpressionFileError, LfpolyError
 
 SCHEMA_VERSION = 1
@@ -115,7 +115,9 @@ def cmd_analyze(args):
 
 def cmd_zeros(args):
     F = _load_expression(args)
-    zs = analysis.zero_list(F, args.T1, args.T2, parallelism=args.parallelism)
+    zs = analysis.zero_list(
+        F, args.T1, args.T2, parallelism=args.parallelism, seed=args.seed
+    )
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "zeros",
@@ -192,7 +194,8 @@ def cmd_count(args):
 def cmd_cluster(args):
     F = _load_expression(args)
     rep = analysis.clustering_counts(
-        F, args.delta, args.T, T2=args.T2, parallelism=args.parallelism
+        F, args.delta, args.T, T2=args.T2, parallelism=args.parallelism,
+        seed=args.seed,
     )
     doc = {
         "schema": SCHEMA_VERSION,

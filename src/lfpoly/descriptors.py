@@ -52,18 +52,6 @@ class LFunctionDescriptor:
             )
         return self.series_coeffs[n - 1]
 
-    @property
-    def series_only(self):
-        return self.kind == "series"
-
-    def validate(self):
-        assert abs(abs(self.root_number) - 1.0) <= 1e-12
-        assert abs(self.coefficient(1) - 1.0) <= 1e-12
-        assert self.pole_order in (0, 1)
-        assert self.rank >= 1
-        assert 0.0 <= self.ramanujan_bound < 0.5
-        return self
-
 
 def zeta_descriptor() -> LFunctionDescriptor:
     return LFunctionDescriptor(

@@ -41,10 +41,6 @@ class PoleTooClose(LfpolyError):
     """Cauchy-circle radius collapsed below the minimum."""
 
 
-class BranchCutError(LfpolyError):
-    """Evaluation too close to a logarithm branch point."""
-
-
 class RegionViolation(LfpolyError):
     """Point outside the validity region of the asymptotic functional equation."""
 

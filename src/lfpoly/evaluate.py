@@ -1,11 +1,16 @@
 """Numerical evaluation of L-functions, their derivatives, and expressions.
 
-The base evaluator is Euler-Maclaurin summation for the Hurwitz zeta
-function, vectorized over point arrays and valid on the whole plane away
-from s = 1.  Dirichlet L-functions reduce to Hurwitz values at rational
-shifts.  Derivatives of any order come from a Cauchy integral over a small
-circle, which turns one batch of base evaluations into all derivatives at
-once.  Expression values combine the per-factor derivative tables.
+Every value is carried as a pair (u, g) meaning u * exp(g), with u of
+moderate size and g real, and is folded to a plain complex number only by
+the public functions that return one.  Right of sigma = -2 the value comes
+from Euler-Maclaurin summation for the Hurwitz zeta function, vectorized
+over point arrays (Dirichlet L-functions reduce to Hurwitz values at
+rational shifts), and g = 0.  Left of it the dual is summed at 1 - s and
+carried over by the reflection factor, whose logarithm goes into g: the
+factor alone leaves the double range far left (|zeta(-740)| ~ 10^1500).
+Derivatives of any order come from a Cauchy integral over a small circle,
+with ring values rescaled to the largest log-magnitude on their ring.
+Expression values combine the per-factor scaled tables.
 """
 
 from __future__ import annotations
@@ -17,7 +22,12 @@ import numpy as np
 from scipy.special import loggamma
 
 from .constants import BERNOULLI, MIN_TARGET_ERR
-from .descriptors import LFunctionDescriptor
+from .descriptors import (
+    LFunctionDescriptor,
+    contragredient,
+    dirichlet_descriptor,
+    zeta_descriptor,
+)
 from .errors import (
     AccuracyUnreachable,
     PoleAt1,
@@ -28,6 +38,9 @@ from .errors import (
 _BFLOAT = [float(b) for b in BERNOULLI]
 _EPS = 1e-15
 _POLE_GUARD = 1e-8
+# left of this line the Euler-Maclaurin rounding mass drowns the value at
+# desk heights, so evaluation goes through the reflection formula instead
+_DEEP_SIGMA = -2.0
 
 
 def _expm1_over_x(x):
@@ -103,90 +116,47 @@ def _hurwitz_batch(S, a=1.0, nb=None, subtract_pole=False):
     return out, bounds
 
 
-def hurwitz_zeta(s, a=1.0, err=1e-10):
-    """zeta(s, a) with certified absolute error at most err."""
+def _check_target(err):
     if err < MIN_TARGET_ERR:
         raise AccuracyUnreachable(
             f"requested error {err:.1e} is below the double-precision floor"
         )
+
+
+def _certified(v, b, err, s):
+    """v as a complex number if its error bound b meets the target err."""
+    if b > err:
+        raise AccuracyUnreachable(
+            f"achievable error {b:.2e} exceeds the target {err:.1e} at s = {s}"
+        )
+    return complex(v)
+
+
+def hurwitz_zeta(s, a=1.0, err=1e-10):
+    """zeta(s, a) with certified absolute error at most err."""
+    _check_target(err)
     v, b = _hurwitz_batch(np.array([s]), a)
     if b[0] > err:
         v, b = _hurwitz_batch(np.array([s]), a, nb=29)
-    if b[0] > err:
-        raise AccuracyUnreachable(
-            f"achievable error {b[0]:.2e} exceeds the target {err:.1e} at s = {s}"
-        )
-    return complex(v[0])
+    return _certified(v[0], b[0], err, s)
 
 
 def zeta(s, err=1e-10):
     """Riemann zeta with certified absolute error at most err."""
-    if err < MIN_TARGET_ERR:
-        raise AccuracyUnreachable(
-            f"requested error {err:.1e} is below the double-precision floor"
-        )
+    _check_target(err)
     if abs(complex(s) - 1) < _POLE_GUARD:
         raise PoleAt1("zeta requested too close to s = 1")
-    v, b = _zeta_batch(np.array([s]))
-    if b[0] > err:
-        raise AccuracyUnreachable(
-            f"achievable error {b[0]:.2e} exceeds the target {err:.1e} at s = {s}"
-        )
-    return complex(v[0])
-
-
-# left of this line the Euler-Maclaurin rounding mass drowns the value at
-# desk heights, so evaluation goes through the reflection formula instead
-_DEEP_SIGMA = -2.0
-
-
-def _zeta_batch(S):
-    S = np.atleast_1d(np.asarray(S, dtype=complex))
-    deep = S.real < _DEEP_SIGMA
-    if not deep.any():
-        return _hurwitz_batch(S)
-    from .descriptors import zeta_descriptor
-
-    vals = np.empty(S.shape, dtype=complex)
-    bounds = np.empty(S.shape)
-    if (~deep).any():
-        vals[~deep], bounds[~deep] = _hurwitz_batch(S[~deep])
-    zd = zeta_descriptor()
-    W = 1 - S[deep]
-    base, bb = _hurwitz_batch(W)
-    fac = np.array([cmath.exp(log_fe_factor(zd, w)) for w in W])
-    v = fac * base
-    vals[deep] = v
-    bounds[deep] = np.abs(v) * (bb / np.abs(base) + 1e-13 * (1 + np.abs(W)))
-    return vals, bounds
-
-
-def _dirichlet_deep(S, chi):
-    from .descriptors import dirichlet_descriptor
-
-    conj_desc = dirichlet_descriptor(chi.conjugate())
-    W = 1 - S
-    base, bb = _dirichlet_batch(W, chi.conjugate())
-    fac = np.array([cmath.exp(log_fe_factor(conj_desc, w)) for w in W])
-    v = fac * base
-    return v, np.abs(v) * (bb / np.maximum(np.abs(base), 1e-300)
-                           + 1e-13 * (1 + np.abs(W)))
+    v, b = lfunc_values(zeta_descriptor(), np.array([s]))
+    return _certified(v[0], b[0], err, s)
 
 
 def _dirichlet_batch(S, chi):
+    """Euler-Maclaurin L(s, chi) as a character sum of Hurwitz values."""
     q = chi.modulus
     principal = chi.conductor == 1
     S = np.atleast_1d(np.asarray(S, dtype=complex))
     if principal and np.any(np.abs(S - 1) < _POLE_GUARD):
         raise PoleAt1("principal-character L-function has a pole at s = 1")
-    deep = S.real < _DEEP_SIGMA
-    if deep.any() and not principal and chi.is_primitive:
-        vals = np.empty(S.shape, dtype=complex)
-        bounds = np.empty(S.shape)
-        if (~deep).any():
-            vals[~deep], bounds[~deep] = _dirichlet_batch(S[~deep], chi)
-        vals[deep], bounds[deep] = _dirichlet_deep(S[deep], chi)
-        return vals, bounds
     vals = None
     bounds = None
     for a in range(1, q + 1):
@@ -201,23 +171,23 @@ def _dirichlet_batch(S, chi):
         else:
             vals += c * v
             bounds += abs(c) * b
-    S = np.atleast_1d(np.asarray(S, dtype=complex))
     scale = np.exp(-S * math.log(q))
     return scale * vals, np.abs(scale) * bounds
 
 
 def dirichlet_l(s, chi, err=1e-10):
-    """L(s, chi) with certified absolute error at most err."""
-    if err < MIN_TARGET_ERR:
-        raise AccuracyUnreachable(
-            f"requested error {err:.1e} is below the double-precision floor"
-        )
-    v, b = _dirichlet_batch(np.array([s]), chi)
-    if b[0] > err:
-        raise AccuracyUnreachable(
-            f"achievable error {b[0]:.2e} exceeds the target {err:.1e} at s = {s}"
-        )
-    return complex(v[0])
+    """L(s, chi) with certified absolute error at most err.
+
+    Only primitive non-principal characters have a reflection formula; any
+    other character is summed directly everywhere.
+    """
+    _check_target(err)
+    S = np.array([s], dtype=complex)
+    if chi.is_primitive and chi.conductor > 1:
+        v, b = lfunc_values(dirichlet_descriptor(chi), S)
+    else:
+        v, b = _dirichlet_batch(S, chi)
+    return _certified(v[0], b[0], err, s)
 
 
 def _series_batch(S, desc):
@@ -238,10 +208,10 @@ def _series_batch(S, desc):
     return vals, tail + _EPS * N
 
 
-def lfunc_values(desc: LFunctionDescriptor, S, rel_tol=1e-10):
-    """Values of L(s, pi) over an array of points, with error estimates."""
+def _direct_batch(desc, S):
+    """Values and absolute error bounds by direct summation."""
     if desc.kind == "zeta":
-        return _zeta_batch(S)
+        return _hurwitz_batch(S)
     if desc.kind == "dirichlet":
         return _dirichlet_batch(S, desc.character)
     if desc.kind == "series":
@@ -249,17 +219,61 @@ def lfunc_values(desc: LFunctionDescriptor, S, rel_tol=1e-10):
     raise ValueError(f"unknown descriptor kind {desc.kind!r}")
 
 
-def lfunc_derivatives(desc, S, lmax, rel_tol=1e-9):
-    """Derivatives 0..lmax of L(s, pi) at each point of S.
+def _reflected_scaled(desc, W):
+    """(u, g, err) for L(1 - W, dual) = Phi(W) L(W, pi) = u exp(g).
 
-    Cauchy circles: one ring of base evaluations per point yields every
-    derivative order.  The ring count doubles until two passes agree to
-    rel_tol.  Returns an array of shape (lmax + 1, len(S)).
+    L(W, pi) is summed directly; err is the absolute error of u.
+    """
+    base, bb = _direct_batch(desc, W)
+    lf = log_fe_factor(desc, W)
+    u = np.exp(1j * lf.imag) * base
+    rel = bb / np.maximum(np.abs(base), 1e-300) + 1e-13 * (1 + np.abs(W))
+    return u, lf.real, np.abs(u) * rel
+
+
+def _lfunc_values_scaled(desc, S):
+    """(u, g, err) with L(s) = u exp(g) and err the absolute error of u.
+
+    Right of sigma = -2 the value is summed directly and g = 0; left of it
+    the dual is summed at 1 - s and reflected.  Series data has no
+    reflection formula, so it is always summed directly (and refuses points
+    outside its region).
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
-    if lmax == 0 and desc.kind != "series":
-        return lfunc_values(desc, S)[0][None, :]
-    res = np.empty((lmax + 1, S.size), dtype=complex)
+    g = np.zeros(S.shape)
+    deep = S.real < _DEEP_SIGMA
+    if desc.kind == "series" or not deep.any():
+        u, err = _direct_batch(desc, S)
+        return u, g, err
+    u = np.empty(S.shape, dtype=complex)
+    err = np.empty(S.shape)
+    if (~deep).any():
+        u[~deep], err[~deep] = _direct_batch(desc, S[~deep])
+    u[deep], g[deep], err[deep] = _reflected_scaled(contragredient(desc), 1 - S[deep])
+    return u, g, err
+
+
+def lfunc_values(desc: LFunctionDescriptor, S):
+    """Values of L(s, pi) over an array of points, with absolute error bounds."""
+    u, g, err = _lfunc_values_scaled(desc, S)
+    scale = np.exp(g)
+    return u * scale, err * scale
+
+
+def lfunc_derivatives_scaled(desc, S, lmax, rel_tol=1e-9):
+    """Scaled derivative tables (D, G): L^(l)(S[i]) = D[l, i] exp(G[i]).
+
+    Cauchy circles: one ring of base evaluations per point yields every
+    derivative order.  Ring values are rescaled by the largest
+    log-magnitude on their ring before the quadrature, so the arithmetic
+    never leaves the double range.  The ring count doubles until two passes
+    agree to rel_tol.  D has shape (lmax + 1, len(S)).
+    """
+    S = np.atleast_1d(np.asarray(S, dtype=complex))
+    if lmax == 0:
+        u, g, _ = _lfunc_values_scaled(desc, S)
+        return u[None, :], g
+    radii = np.full(S.shape, 0.5)
     if desc.pole_order > 0:
         dist = np.abs(S - 1)
         if np.any(dist < 1e-6):
@@ -267,31 +281,34 @@ def lfunc_derivatives(desc, S, lmax, rel_tol=1e-9):
                 "derivative circle would collapse onto the pole at s = 1"
             )
         radii = np.minimum(0.5, dist / 2)
-    else:
-        radii = np.full(S.shape, 0.5)
     # quantize so nearby points share one vectorized ring batch
     rq = np.where(radii >= 0.5, 0.5, 2.0 ** np.floor(np.log2(np.maximum(radii, 1e-12))))
+    D = np.empty((lmax + 1, S.size), dtype=complex)
+    G = np.empty(S.shape)
     for r in np.unique(rq):
         idx = np.nonzero(rq == r)[0]
-        res[:, idx] = _circle_derivs(desc, S[idx], lmax, float(r), rel_tol)
-    return res
+        D[:, idx], G[idx] = _ring_derivs(desc, S[idx], lmax, float(r), rel_tol)
+    return D, G
 
 
-def _circle_derivs(desc, centers, lmax, r, rel_tol):
+def _ring_derivs(desc, centers, lmax, r, rel_tol):
     M = 64
-    prev = None
+    prev = prev_G = None
     while True:
         th = 2 * np.pi * np.arange(M) / M
-        nodes = np.exp(1j * th)
-        Z = centers[:, None] + r * nodes[None, :]
-        FV, FB = lfunc_values(desc, Z.ravel())
-        FV = FV.reshape(Z.shape)
-        base_err = float(np.max(FB))
+        Z = centers[:, None] + r * np.exp(1j * th)[None, :]
+        U, gv, err = (a.reshape(Z.shape) for a in _lfunc_values_scaled(desc, Z.ravel()))
+        G = gv.max(axis=1)
+        w = np.exp(gv - G[:, None])
+        FV = U * w
+        # absolute error of the ring values in the ring's own scale
+        base_err = float(np.max(err * w))
         res = np.empty((lmax + 1, centers.size), dtype=complex)
         for l in range(lmax + 1):
-            w = np.exp(-1j * l * th)
-            res[l] = math.factorial(l) / (r**l * M) * (FV * w[None, :]).sum(axis=1)
+            wl = np.exp(-1j * l * th)
+            res[l] = math.factorial(l) / (r**l * M) * (FV * wl[None, :]).sum(axis=1)
         if prev is not None:
+            prev = prev * np.exp(prev_G - G)[None, :]
             # per-order agreement, with a floor at the l!/r^l amplification
             # of base rounding below which agreement cannot be expected
             rowscale = np.max(np.abs(res), axis=1, keepdims=True)
@@ -302,43 +319,68 @@ def _circle_derivs(desc, centers, lmax, r, rel_tol):
                 ]
             )[:, None]
             diff = np.abs(res - prev)
-            ok = diff <= rel_tol * rowscale + floors
-            if ok.all():
-                return res
+            if (diff <= rel_tol * rowscale + floors).all():
+                return res, G
             if M >= 2048:
                 d = float(np.max(diff / (rowscale + 1e-300)))
                 raise AccuracyUnreachable(
                     f"derivative rings did not stabilize to {rel_tol:.1e} "
                     f"(last disagreement {d:.2e})"
                 )
-        prev = res
+        prev, prev_G = res, G
         M *= 2
 
 
-def _deriv_tables(F, S, rel_tol, extra=0):
+def lfunc_derivatives(desc, S, lmax, rel_tol=1e-9):
+    """Derivatives 0..lmax of L(s, pi) at each point of S.
+
+    Returns an array of shape (lmax + 1, len(S)).
+    """
+    D, G = lfunc_derivatives_scaled(desc, S, lmax, rel_tol)
+    return D * np.exp(G)[None, :]
+
+
+def _F_scaled(F, S, rel_tol, prime=False):
+    """F over S as (u, g, mass, du): F = u exp(g), mass is the sum of the
+    monomial magnitudes and, with prime, F' = du exp(g), all in one scale."""
+    S = np.atleast_1d(np.asarray(S, dtype=complex))
     needed = {}
     for m in F.monomials:
         for fid, l, _ in m.factors:
-            needed[fid] = max(needed.get(fid, 0), l + extra)
-    return {
-        fid: lfunc_derivatives(F.lfuncs[fid], S, lmax, rel_tol)
+            needed[fid] = max(needed.get(fid, 0), l + prime)
+    tables = {
+        fid: lfunc_derivatives_scaled(F.lfuncs[fid], S, lmax, rel_tol)
         for fid, lmax in needed.items()
     }
+    shape = (len(F.monomials), S.size)
+    term_u = np.empty(shape, dtype=complex)
+    term_du = np.zeros(shape, dtype=complex)
+    term_g = np.zeros(shape)
+    for i, m in enumerate(F.monomials):
+        facs = [(*tables[fid], l, d) for fid, l, d in m.factors]
+        tu = np.full(S.shape, m.coeff, dtype=complex)
+        for D, _, l, d in facs:
+            tu = tu * D[l] ** d
+        term_u[i] = tu
+        term_g[i] = sum(d * G for _, G, _, d in facs)
+        if prime:
+            for j, (D, _, l, d) in enumerate(facs):
+                part = m.coeff * d * D[l + 1] * D[l] ** (d - 1)
+                for k, (Dk, _, lk, dk) in enumerate(facs):
+                    if k != j:
+                        part = part * Dk[lk] ** dk
+                term_du[i] += part
+    g = term_g.max(axis=0)
+    w = np.exp(term_g - g)
+    return ((term_u * w).sum(axis=0), g, (np.abs(term_u) * w).sum(axis=0),
+            (term_du * w).sum(axis=0))
 
 
 def eval_F_batch(F, S, rel_tol=1e-9):
     """(values, error estimates) of the expression F over an array of points."""
-    S = np.atleast_1d(np.asarray(S, dtype=complex))
-    tables = _deriv_tables(F, S, rel_tol)
-    vals = np.zeros(S.shape, dtype=complex)
-    mass = np.zeros(S.shape)
-    for m in F.monomials:
-        term = np.full(S.shape, m.coeff, dtype=complex)
-        for fid, l, d in m.factors:
-            term = term * tables[fid][l] ** d
-        vals += term
-        mass += np.abs(term)
-    return vals, rel_tol * mass * (len(F.monomials) + F.max_deriv)
+    u, g, mass, _ = _F_scaled(F, S, rel_tol)
+    scale = np.exp(g)
+    return u * scale, rel_tol * (mass * scale) * (len(F.monomials) + F.max_deriv)
 
 
 def eval_F(F, s, rel_tol=1e-9):
@@ -348,187 +390,54 @@ def eval_F(F, s, rel_tol=1e-9):
 
 def eval_F_with_prime(F, s, rel_tol=1e-9):
     """(F(s), F'(s)) for Newton refinement."""
-    S = np.array([s], dtype=complex)
-    tables = _deriv_tables(F, S, rel_tol, extra=1)
-    v = 0j
-    vp = 0j
-    for m in F.monomials:
-        facs = [(tables[fid][l][0], tables[fid][l + 1][0], d) for fid, l, d in m.factors]
-        prod = m.coeff
-        for f, _, d in facs:
-            prod *= f**d
-        v += prod
-        for i, (f, fp, d) in enumerate(facs):
-            part = m.coeff * d * fp * f ** (d - 1)
-            for k, (g, _, e) in enumerate(facs):
-                if k != i:
-                    part *= g**e
-            vp += part
-    return v, vp
-
-
-# --- scaled evaluation ----------------------------------------------------
-# Far left of the critical strip the reflection factor alone exceeds the
-# double-precision range (|zeta(-740)| ~ 10^1500), so values are carried as
-# pairs (u, g) meaning u * exp(g) with u of moderate size and g real.
-
-def _lfunc_values_scaled(desc, S):
-    """(u, g, rel) with L(s) = u exp(g); rel bounds the relative error."""
-    S = np.atleast_1d(np.asarray(S, dtype=complex))
-    u = np.empty(S.shape, dtype=complex)
-    g = np.zeros(S.shape)
-    rel = np.empty(S.shape)
-    deep = S.real < _DEEP_SIGMA
-    if desc.kind == "zeta":
-        shallow_eval = _hurwitz_batch
-        conj_desc = desc
-        W = 1 - S[deep]
-        base, bb = _hurwitz_batch(W) if deep.any() else (None, None)
-    elif desc.kind == "dirichlet":
-        chi = desc.character
-        if deep.any() and not (chi.is_primitive and chi.conductor > 1):
-            raise RegionViolation(
-                f"no reflection formula registered for {desc.id!r}; cannot "
-                "evaluate far left of the strip"
-            )
-        shallow_eval = lambda A: _dirichlet_batch(A, chi)
-        from .descriptors import dirichlet_descriptor
-
-        conj_desc = dirichlet_descriptor(chi.conjugate()) if deep.any() else None
-        W = 1 - S[deep]
-        base, bb = _dirichlet_batch(W, chi.conjugate()) if deep.any() else (None, None)
-    else:
-        v, b = lfunc_values(desc, S)
-        return v, np.zeros(S.shape), b / np.maximum(np.abs(v), 1e-300)
-    if (~deep).any():
-        v, b = shallow_eval(S[~deep])
-        u[~deep] = v
-        rel[~deep] = b / np.maximum(np.abs(v), 1e-300)
-    if deep.any():
-        lf = np.array([log_fe_factor(conj_desc, w) for w in W])
-        g[deep] = lf.real
-        u[deep] = np.exp(1j * lf.imag) * base
-        rel[deep] = (bb / np.maximum(np.abs(base), 1e-300)
-                     + 1e-13 * (1 + np.abs(W)))
-    return u, g, rel
-
-
-def lfunc_derivatives_scaled(desc, S, lmax, rel_tol=1e-9):
-    """Scaled derivative tables: (D, G) with derivative l = D[l] exp(G).
-
-    Same Cauchy-circle scheme as lfunc_derivatives, but ring values are
-    rescaled by the largest log-magnitude on the ring before the quadrature
-    so the arithmetic never leaves the double range.
-    """
-    S = np.atleast_1d(np.asarray(S, dtype=complex))
-    if desc.pole_order > 0 and np.any(np.abs(S - 1) < 1e-6):
-        raise PoleTooClose(
-            "derivative circle would collapse onto the pole at s = 1"
-        )
-    r = 0.5
-    if desc.pole_order > 0:
-        r = min(r, float(np.min(np.abs(S - 1))) / 2)
-        r = 0.5 if r >= 0.5 else 2.0 ** math.floor(math.log2(max(r, 1e-12)))
-    M = 64
-    prev = None
-    prev_G = None
-    while True:
-        th = 2 * np.pi * np.arange(M) / M
-        Z = S[:, None] + r * np.exp(1j * th)[None, :]
-        U, gv, relb = _lfunc_values_scaled(desc, Z.ravel())
-        U = U.reshape(Z.shape)
-        gv = gv.reshape(Z.shape)
-        base_rel = float(np.max(relb))
-        G = gv.max(axis=1, keepdims=True)
-        Fs = U * np.exp(gv - G)
-        res = np.empty((lmax + 1, S.size), dtype=complex)
-        for l in range(lmax + 1):
-            w = np.exp(-1j * l * th)
-            res[l] = math.factorial(l) / (r**l * M) * (Fs * w[None, :]).sum(axis=1)
-        G = G[:, 0]
-        if prev is not None:
-            prev = prev * np.exp(prev_G - G)[None, :]
-            rowscale = np.max(np.abs(res), axis=1, keepdims=True)
-            floors = np.array(
-                [
-                    math.factorial(l) / r**l * max(1e-14, 2 * base_rel)
-                    for l in range(lmax + 1)
-                ]
-            )[:, None]
-            diff = np.abs(res - prev)
-            if (diff <= rel_tol * rowscale + floors).all():
-                return res, G
-            if M >= 2048:
-                d = float(np.max(diff / (rowscale + 1e-300)))
-                raise AccuracyUnreachable(
-                    f"scaled derivative rings did not stabilize to "
-                    f"{rel_tol:.1e} (last disagreement {d:.2e})"
-                )
-        prev = res
-        prev_G = G
-        M *= 2
+    u, g, _, du = _F_scaled(F, np.array([s]), rel_tol, prime=True)
+    scale = np.exp(g[0])
+    return complex(u[0] * scale), complex(du[0] * scale)
 
 
 def eval_F_scaled_batch(F, S, rel_tol=1e-9):
     """(u, g) with F(s) = u exp(g), usable arbitrarily far left of the strip."""
-    S = np.atleast_1d(np.asarray(S, dtype=complex))
-    needed = {}
-    for m in F.monomials:
-        for fid, l, _ in m.factors:
-            needed[fid] = max(needed.get(fid, 0), l)
-    tables = {
-        fid: lfunc_derivatives_scaled(F.lfuncs[fid], S, lmax, rel_tol)
-        for fid, lmax in needed.items()
-    }
-    term_u = np.empty((len(F.monomials), S.size), dtype=complex)
-    term_g = np.zeros((len(F.monomials), S.size))
-    for i, m in enumerate(F.monomials):
-        tu = np.full(S.shape, m.coeff, dtype=complex)
-        tg = np.zeros(S.shape)
-        for fid, l, d in m.factors:
-            D, G = tables[fid]
-            tu = tu * D[l] ** d
-            tg = tg + d * G
-        term_u[i] = tu
-        term_g[i] = tg
-    gmax = term_g.max(axis=0)
-    u = (term_u * np.exp(term_g - gmax[None, :])).sum(axis=0)
-    return u, gmax
+    u, g, _, _ = _F_scaled(F, S, rel_tol)
+    return u, g
 
 
 # --- functional-equation pieces ------------------------------------------
 
 def _log_cos(z):
-    """log cos(z) up to a multiple of 2 pi i, stable for large |Im z|."""
-    if abs(z.imag) < 20:
-        return cmath.log(cmath.cos(z))
-    if z.imag > 0:
-        return -1j * z - math.log(2) + cmath.log(1 + cmath.exp(2j * z))
-    return 1j * z - math.log(2) + cmath.log(1 + cmath.exp(-2j * z))
+    """log cos(z) over an array, up to a multiple of 2 pi i, stable for
+    large |Im z|."""
+    small = np.abs(z.imag) < 20
+    # cos z = e^{-iw} (1 + e^{2iw}) / 2 with w = +-z chosen so Im w >= 0
+    w = np.where(z.imag > 0, z, -z)
+    with np.errstate(divide="ignore"):
+        big = -1j * w - math.log(2) + np.log(1 + np.exp(2j * w))
+    return np.where(small, np.log(np.cos(np.where(small, z, 0))), big)
 
 
 def log_fe_factor(desc: LFunctionDescriptor, s):
     """log of the factor Phi with L(1 - s, dual) = Phi(s) L(s, pi).
 
-    Assembled in log space from loggamma and a shifted log-cosine so the
-    pieces stay finite at heights where each factor alone overflows.
+    Takes a point or an array of points.  Assembled in log space from
+    loggamma and a shifted log-cosine so the pieces stay finite at heights
+    where each factor alone overflows.
     """
+    z = np.atleast_1d(np.asarray(s, dtype=complex))
     m = desc.rank
-    out = -cmath.log(desc.root_number)
-    out += (s - 0.5) * math.log(desc.conductor)
-    out += (-m / 2 - m * s) * math.log(math.pi)
+    out = -cmath.log(desc.root_number) + (z - 0.5) * math.log(desc.conductor)
+    out += (-m / 2 - m * z) * math.log(math.pi)
     for mu in desc.spectral_params:
         mub = complex(mu).conjugate()
-        out += _log_cos(math.pi * (s - mub) / 2)
-        out += complex(loggamma((s + mu) / 2))
-        out += complex(loggamma((1 + s - mub) / 2))
-    return out
+        out += _log_cos(math.pi * (z - mub) / 2)
+        out += loggamma((z + mu) / 2)
+        out += loggamma((1 + z - mub) / 2)
+    # a scalar point gives a scalar, an array an array of its shape
+    return out.reshape(np.shape(s))[()]
 
 
-def reflected_lvalue(desc, s, rel_tol=1e-10):
+def reflected_lvalue(desc, s):
     """L(1 - s, dual) computed from L(s, pi) through the reflection factor."""
-    base = lfunc_values(desc, np.array([s]))[0][0]
-    return cmath.exp(log_fe_factor(desc, s)) * base
+    u, g, _ = _reflected_scaled(desc, np.array([s], dtype=complex))
+    return complex(u[0] * np.exp(g[0]))
 
 
 def b_factor(s, l, desc: LFunctionDescriptor):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -314,8 +314,6 @@ class DegreeProfile:
     p_F: int
     alpha1: float
     alpha2: float
-    z_F: int = None  # zero order at s = 0, filled lazily by the zero engine
-    monomial_degrees: tuple = field(default=(), repr=False)
 
 
 def first_nonzero_index(F: PolyExpression, max_n=2048):
@@ -380,7 +378,6 @@ def degree_profile(F: PolyExpression) -> DegreeProfile:
         p_F=p_F,
         alpha1=alpha1,
         alpha2=alpha2,
-        monomial_degrees=tuple(degs),
     )
 
 

@@ -2,7 +2,7 @@
 
 Winding numbers over rectangle boundaries by adaptive phase tracking,
 recursive subdivision to isolate zeros, Newton polishing, zero-free strip
-bounds E1/E2, and banded nontrivial-zero counting with pole correction.
+bounds E1/E2, and banded nontrivial-zero counting.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,11 @@ from .errors import (
     NonConvergence,
     PhaseUnresolved,
     RegionViolation,
-    ScanFailed,
 )
 from . import expr as _expr
 from .evaluate import (
     asymptotic_fe_main,
     eval_F,
-    eval_F_batch,
     eval_F_scaled_batch,
     eval_F_with_prime,
 )
@@ -35,9 +33,6 @@ _MIN_BOUNDARY = 1e-10
 _MIN_SEG = 1e-9
 _SNAP = 0.1
 _MAX_SAMPLES = 2**18
-# left of this the expression magnitude can leave the double range, so
-# winding switches to the scaled (u, log-scale) evaluation path
-_SCALED_SIGMA = -50.0
 
 
 @dataclass(frozen=True)
@@ -119,18 +114,16 @@ def _boundary_points(loop, step0):
     return np.array(pts, dtype=complex)
 
 
-def _winding_eval(F, rel_tol, deep):
-    """Boundary evaluator: (phase carriers, log magnitudes) per point batch."""
-    if deep:
-        def ev(pts):
-            u, g = eval_F_scaled_batch(F, pts, rel_tol)
-            with np.errstate(divide="ignore"):
-                return u, np.log(np.abs(u)) + g
-    else:
-        def ev(pts):
-            v = eval_F_batch(F, pts, rel_tol)[0]
-            with np.errstate(divide="ignore"):
-                return v, np.log(np.abs(v))
+def _winding_eval(F, rel_tol):
+    """Boundary evaluator: (phase carriers, log magnitudes) per point batch.
+
+    F = u exp(g) with g real, so u carries the phase and the magnitude
+    stays finite however far left the contour reaches.
+    """
+    def ev(pts):
+        u, g = eval_F_scaled_batch(F, pts, rel_tol)
+        with np.errstate(divide="ignore"):
+            return u, np.log(np.abs(u)) + g
     return ev
 
 
@@ -186,7 +179,7 @@ def winding_count(F, rect: Rectangle, rel_tol=1e-6, step0=0.25,
     """
     loop = list(rect.corners) + [rect.corners[0]]
     pts = _boundary_points(loop, step0)
-    ev = _winding_eval(F, rel_tol, rect.sigma_lo < _SCALED_SIGMA)
+    ev = _winding_eval(F, rel_tol)
     vals, lm = ev(pts)
     return _track_winding(ev, pts, vals, lm, max_samples)[0]
 
@@ -208,7 +201,7 @@ def _winding_jittered(F, rect, rel_tol=1e-6, retries=5):
 def winding_circle(F, center, radius, rel_tol=1e-6, M0=64):
     th = 2 * np.pi * np.arange(M0 + 1) / M0
     pts = center + radius * np.exp(1j * th)
-    ev = _winding_eval(F, rel_tol, complex(center).real - radius < _SCALED_SIGMA)
+    ev = _winding_eval(F, rel_tol)
     vals, lm = ev(pts)
     return _track_winding(ev, pts, vals, lm, _MAX_SAMPLES)[0]
 
@@ -247,19 +240,6 @@ def _quadrisect(rect, fx=0.5, fy=0.5):
     ]
 
 
-def _box_winding(F, rect, rel_tol, p_F):
-    """Zero count in rect: boundary winding corrected for the pole at 1."""
-    for fx, fy in [(0.5, 0.5), (0.513, 0.487), (0.487, 0.513), (0.5, 0.461)]:
-        try:
-            w = winding_count(F, rect, rel_tol)
-            if p_F and rect.contains(1 + 0j):
-                w += p_F
-            return w, rect
-        except BoundaryTooClose:
-            rect = rect.shifted(0.011 + 0.009j)
-    raise NonConvergence("could not obtain a clean contour", box=rect)
-
-
 def locate_zeros(F, rect: Rectangle, isolation_tol=1e-9, rel_tol=1e-6,
                  _p_F=None):
     """Zeros of F inside rect, recursively isolated and Newton-polished.
@@ -271,7 +251,9 @@ def locate_zeros(F, rect: Rectangle, isolation_tol=1e-9, rel_tol=1e-6,
     if _p_F is None:
         _p_F = _expr.pole_order(F) if rect.contains(1 + 0j, margin=0.1) else 0
     out = []
-    w, rect = _box_winding(F, rect, rel_tol, _p_F)
+    w, rect = _winding_jittered(F, rect, rel_tol)
+    if _p_F and rect.contains(1 + 0j):
+        w += _p_F
     _locate_rec(F, rect, w, isolation_tol, rel_tol, _p_F, out, 0)
     out.sort(key=lambda z: (z.gamma, z.beta))
     # a multiple zero lying on a subdivision line can surface once per
@@ -399,7 +381,6 @@ class BandReport:
     t_lo: float
     t_hi: float
     count: int
-    samples: int = 0
 
 
 @dataclass
@@ -407,7 +388,6 @@ class CountResult:
     total: int
     bands: list
     strip: StripBounds
-    pole_added: int = 0
 
     def __int__(self):
         return self.total
@@ -456,12 +436,4 @@ def count_nontrivial(F, T1, T2, strip=None, profile=None, rel_tol=1e-6,
     else:
         bands = [run_band(r) for r in rects]
     total = sum(b.count for b in bands)
-    pole_added = 0
-    lo = max(T1, 0.5)
-    if strip.E1 < 1 < strip.E2 and lo < 0 < T2 and profile.p_F:
-        # the contour would swallow the pole at s = 1; with bands starting
-        # at t = 0.5 this cannot happen, kept for completeness
-        pole_added = profile.p_F
-        total += pole_added
-    return CountResult(total=total, bands=bands, strip=strip,
-                       pole_added=pole_added)
+    return CountResult(total=total, bands=bands, strip=strip)

@@ -31,6 +31,18 @@ def test_zero_list_heights_sorted(zeta_expr):
     assert abs(gammas[0] - 14.134725) < 1e-5
 
 
+def test_zero_list_seed_moves_boxes_not_zeros(zeta_expr):
+    # the seed jitters the band edges: every isolating box moves, the
+    # located zeros do not
+    z0 = A.zero_list(zeta_expr, 14, 22, seed=0)
+    z7 = A.zero_list(zeta_expr, 14, 22, seed=7)
+    assert len(z0) == len(z7) == 2
+    for a, b in zip(z0, z7):
+        assert a.box != b.box
+        assert a.multiplicity == b.multiplicity
+        assert abs(a.rho - b.rho) < 1e-10
+
+
 def test_clustering_zeta_on_line(zeta_expr):
     rep = A.clustering_counts(zeta_expr, 0.1, 14, T2=31)
     assert rep.total == 4

@@ -4,9 +4,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from lfpoly import characters as chars
 from lfpoly import evaluate as ev
-from lfpoly.descriptors import series_descriptor, zeta_descriptor
+from lfpoly.descriptors import (
+    dirichlet_descriptor,
+    series_descriptor,
+    zeta_descriptor,
+)
 from lfpoly.errors import (
     AccuracyUnreachable,
     PoleAt1,
@@ -141,13 +147,61 @@ def test_eval_F_with_prime_consistency():
 
 # --- scaled path ----------------------------------------------------------
 
-def test_scaled_matches_plain_at_moderate_depth():
-    F = zpoly((1.0, [(1, 1)]), (3.0, [(2, 1)]))
-    S = np.array([-20.3 + 0.4j, 2.5 + 10.0j])
-    u, g = ev.eval_F_scaled_batch(F, S)
-    plain, _ = ev.eval_F_batch(F, S)
-    recon = u * np.exp(g)
-    assert np.all(np.abs(recon - plain) <= 1e-8 * np.abs(plain))
+def _mp_derivatives(chi, s, lmax):
+    """L^(l)(s, chi) for l = 0..lmax from mpmath's Hurwitz zeta derivatives
+    (chi None is zeta): L = q^-s sum_a chi(a) zeta(s, a/q), by Leibniz."""
+    z = mp.mpc(s)
+    if chi is None:
+        return [complex(mp.zeta(z, 1, l)) for l in range(lmax + 1)]
+    q = chi.modulus
+    hz = {
+        a: [mp.zeta(z, mp.mpf(a) / q, j) for j in range(lmax + 1)]
+        for a in range(1, q + 1)
+        if chi(a) != 0
+    }
+    out = []
+    for l in range(lmax + 1):
+        tot = sum(
+            chi(a) * sum(mp.binomial(l, j) * (-mp.log(q)) ** (l - j) * h[j]
+                         for j in range(l + 1))
+            for a, h in hz.items()
+        )
+        out.append(complex(mp.power(q, -z) * tot))
+    return out
+
+
+_ORACLE_CHARS = {
+    "zeta": None,
+    "chi3": chars.character_table(3)[1],
+    "chi4": chars.character_table(4)[1],
+}
+
+
+# |t| >= 1 keeps the points away from s = 1 and from the real zeros far
+# left, where no evaluator has small relative error; sigma is drawn on both
+# sides of the reflection line -2 and down to -60, where |L| reaches 1e90
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(_ORACLE_CHARS)),
+    lmax=st.integers(0, 2),
+    sigma=st.one_of(st.floats(-60.0, -50.0), st.floats(-50.0, -2.0),
+                    st.floats(-2.0, 4.0)),
+    t=st.floats(1.0, 40.0),
+    flip=st.booleans(),
+)
+@example(name="zeta", lmax=2, sigma=-1.5, t=3.0, flip=False)
+@example(name="chi3", lmax=1, sigma=-2.5, t=7.0, flip=True)
+@example(name="chi4", lmax=2, sigma=-49.5, t=12.0, flip=False)
+@example(name="zeta", lmax=1, sigma=-55.0, t=1.0, flip=True)
+def test_derivatives_mpmath_oracle(name, lmax, sigma, t, flip):
+    chi = _ORACLE_CHARS[name]
+    desc = ZETA if chi is None else dirichlet_descriptor(chi)
+    s = complex(sigma, -t if flip else t)
+    D = ev.lfunc_derivatives(desc, np.array([s]), lmax)
+    with mp.workdps(30):
+        refs = _mp_derivatives(chi, s, lmax)
+    for l, ref in enumerate(refs):
+        assert abs(D[l, 0] - ref) <= 1e-8 * abs(ref), (s, l)
 
 
 def test_scaled_deep_oracle():
