@@ -18,7 +18,6 @@ from .characters import Character, character_table
 from .descriptors import (
     LFunctionDescriptor,
     dirichlet_descriptor,
-    series_descriptor,
     zeta_descriptor,
 )
 from .evaluate import (
@@ -81,7 +80,6 @@ __all__ = [
     "locate_zeros",
     "pole_order",
     "predicted_count",
-    "series_descriptor",
     "trivial_zero_audit",
     "verify_count",
     "winding_count",

@@ -45,8 +45,7 @@ def verify_count(F, T, profile=None, strip=None, parallelism=1, seed=0) -> Count
     )
 
 
-def zero_list(F, T1, T2, strip=None, profile=None, isolation_tol=1e-9,
-              parallelism=1, seed=0):
+def zero_list(F, T1, T2, strip=None, profile=None, parallelism=1, seed=0):
     """Located zeros with T1 < gamma < T2, band by band, sorted by height.
 
     seed jitters the band edges, as in count_nontrivial.
@@ -55,22 +54,11 @@ def zero_list(F, T1, T2, strip=None, profile=None, isolation_tol=1e-9,
         profile = _expr.degree_profile(F)
     if strip is None:
         strip = _zeros.zero_free_bounds(F, profile)
-    edges = _zeros._band_edges(T1, T2, seed)
-    rects = [
-        _zeros.Rectangle(strip.E1, strip.E2, a, b)
-        for a, b in zip(edges, edges[1:])
-    ]
 
     def run(rect):
-        return _zeros.locate_zeros(F, rect, isolation_tol)
+        return _zeros.locate_zeros(F, rect)
 
-    if parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as ex:
-            chunks = list(ex.map(run, rects))
-    else:
-        chunks = [run(r) for r in rects]
+    chunks = _zeros._map_bands(T1, T2, strip, run, parallelism, seed)
     out = [z for chunk in chunks for z in chunk if T1 < z.gamma < T2]
     out.sort(key=lambda z: (z.gamma, z.beta))
     return out
@@ -182,7 +170,7 @@ def trivial_zero_audit(F, epsilon, n_range, profile=None):
                 c.real - epsilon, c.real + epsilon,
                 c.imag - epsilon, c.imag + epsilon,
             )
-            w, _ = _zeros._winding_jittered(F, rect, rel_tol=1e-6)
+            w, _ = _zeros._winding_jittered(F, rect)
             count += w
         reports.append(
             DiskReport(n=n, centers=tuple(centers), count=count,
@@ -270,7 +258,7 @@ class FEReport:
         return all(b <= a for a, b in zip(rs, rs[1:]))
 
 
-def asymptotic_fe_check(F, sigma, t_grid, profile=None, eps=0.1) -> FEReport:
+def asymptotic_fe_check(F, sigma, t_grid, profile=None) -> FEReport:
     """Reflected value F(1-s, dual) against the leading-monomial main term.
 
     r(t) = |direct/main - 1| should decay like 1/log|s|; the leading sign
@@ -285,7 +273,7 @@ def asymptotic_fe_check(F, sigma, t_grid, profile=None, eps=0.1) -> FEReport:
     signs_ok = True
     for t in t_grid:
         s = complex(sigma, t)
-        main = asymptotic_fe_main(F, s, profile, eps)
+        main = asymptotic_fe_main(F, s, profile)
         direct = eval_F(Fd, 1 - s, rel_tol=1e-8)
         ratio = direct / main
         pts.append(FEPoint(t=float(t), ratio=ratio, r=abs(ratio - 1)))

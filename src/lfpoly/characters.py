@@ -128,10 +128,6 @@ class Character:
             return 0j
         return cmath.exp(2j * math.pi * k / self.group_exponent)
 
-    def root_index(self, n):
-        """Exact value as an index into the group_exponent-th roots, or None."""
-        return self.value_index[n % self.modulus]
-
     def conjugate(self):
         table = character_table(self.modulus)
         q = self.modulus

@@ -456,7 +456,7 @@ def main(argv=None):
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except ExpressionFileError as e:
+    except (ExpressionFileError, ValueError) as e:
         _emit_error(e)
         return 2
     except LfpolyError as e:

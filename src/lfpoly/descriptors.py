@@ -1,16 +1,13 @@
 """Analytic data records for the L-functions an expression can reference.
 
-Built-in kinds are the Riemann zeta function and Dirichlet L-functions of
-primitive characters (the GL(1) instantiation).  A "series" kind is the
-extension point for user-supplied coefficient data; such descriptors are
-only valid in their strip of absolute convergence and the zero engine
-refuses them elsewhere.
+The kinds are the Riemann zeta function and Dirichlet L-functions of
+primitive characters (the GL(1) instantiation).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import characters as chars
 from .errors import NotPrimitive, OracleRange
@@ -28,11 +25,8 @@ class LFunctionDescriptor:
     root_number: complex
     self_dual: bool
     contragredient_id: str
-    ramanujan_bound: float  # theta in [0, 1/2)
-    kind: str = "zeta"  # zeta | dirichlet | series
+    kind: str = "zeta"  # zeta | dirichlet
     character: object = None
-    series_coeffs: tuple = None  # kind == "series" only
-    meta: dict = field(default_factory=dict, compare=False)
 
     @property
     def log_conductor(self):
@@ -44,13 +38,7 @@ class LFunctionDescriptor:
             raise OracleRange("coefficient index must be >= 1")
         if self.kind == "zeta":
             return 1.0 + 0j
-        if self.kind == "dirichlet":
-            return self.character(n)
-        if self.series_coeffs is None or n > len(self.series_coeffs):
-            raise OracleRange(
-                f"series descriptor {self.id!r} has no coefficient at n={n}"
-            )
-        return self.series_coeffs[n - 1]
+        return self.character(n)
 
 
 def zeta_descriptor() -> LFunctionDescriptor:
@@ -63,7 +51,6 @@ def zeta_descriptor() -> LFunctionDescriptor:
         root_number=1.0 + 0j,
         self_dual=True,
         contragredient_id="zeta",
-        ramanujan_bound=0.0,
         kind="zeta",
     )
 
@@ -92,29 +79,8 @@ def dirichlet_descriptor(chi: chars.Character, id: str = None) -> LFunctionDescr
         root_number=chars.root_number(chi),
         self_dual=(conj.index == chi.index),
         contragredient_id=f"chi_{chi.modulus}_{conj.index}",
-        ramanujan_bound=0.0,
         kind="dirichlet",
         character=chi,
-    )
-
-
-def series_descriptor(
-    id, coeffs, rank=1, conductor=1, spectral_params=(0j,), theta=0.0
-) -> LFunctionDescriptor:
-    """Extension point: user-supplied coefficients, valid only for Re s > 1 + theta."""
-    coeffs = tuple(complex(c) for c in coeffs)
-    return LFunctionDescriptor(
-        id=id,
-        rank=rank,
-        conductor=conductor,
-        spectral_params=tuple(complex(m) for m in spectral_params),
-        pole_order=0,
-        root_number=1.0 + 0j,
-        self_dual=True,
-        contragredient_id=id,
-        ramanujan_bound=theta,
-        kind="series",
-        series_coeffs=coeffs,
     )
 
 
@@ -122,6 +88,4 @@ def contragredient(desc: LFunctionDescriptor) -> LFunctionDescriptor:
     """The dual descriptor: conjugated data, same conductor."""
     if desc.kind == "zeta" or desc.contragredient_id == desc.id:
         return desc
-    if desc.kind == "dirichlet":
-        return dirichlet_descriptor(desc.character.conjugate())
-    raise NotPrimitive(f"no contragredient for descriptor {desc.id!r}")
+    return dirichlet_descriptor(desc.character.conjugate())

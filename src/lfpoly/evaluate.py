@@ -41,6 +41,8 @@ _POLE_GUARD = 1e-8
 # left of this line the Euler-Maclaurin rounding mass drowns the value at
 # desk heights, so evaluation goes through the reflection formula instead
 _DEEP_SIGMA = -2.0
+# least distance of a reflection point from the shifted spectral points
+_REGION_EPS = 0.1
 
 
 def _expm1_over_x(x):
@@ -190,32 +192,12 @@ def dirichlet_l(s, chi, err=1e-10):
     return _certified(v[0], b[0], err, s)
 
 
-def _series_batch(S, desc):
-    S = np.atleast_1d(np.asarray(S, dtype=complex))
-    theta = desc.ramanujan_bound
-    smin = float(np.min(S.real))
-    if smin <= 1 + theta + 0.05:
-        raise RegionViolation(
-            f"series-only data for {desc.id!r} converges absolutely only for "
-            f"Re s > {1 + theta + 0.05:.2f}; got Re s = {smin:.3f}"
-        )
-    coeffs = np.asarray(desc.series_coeffs, dtype=complex)
-    N = coeffs.size
-    ns = np.arange(1, N + 1)
-    vals = (coeffs[None, :] * np.exp(-np.multiply.outer(S, np.log(ns)))).sum(axis=1)
-    sig = S.real
-    tail = (N ** (1 + theta - sig)) / np.maximum(sig - 1 - theta, 1e-6)
-    return vals, tail + _EPS * N
-
-
 def _direct_batch(desc, S):
     """Values and absolute error bounds by direct summation."""
     if desc.kind == "zeta":
         return _hurwitz_batch(S)
     if desc.kind == "dirichlet":
         return _dirichlet_batch(S, desc.character)
-    if desc.kind == "series":
-        return _series_batch(S, desc)
     raise ValueError(f"unknown descriptor kind {desc.kind!r}")
 
 
@@ -235,14 +217,12 @@ def _lfunc_values_scaled(desc, S):
     """(u, g, err) with L(s) = u exp(g) and err the absolute error of u.
 
     Right of sigma = -2 the value is summed directly and g = 0; left of it
-    the dual is summed at 1 - s and reflected.  Series data has no
-    reflection formula, so it is always summed directly (and refuses points
-    outside its region).
+    the dual is summed at 1 - s and reflected.
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
     g = np.zeros(S.shape)
     deep = S.real < _DEEP_SIGMA
-    if desc.kind == "series" or not deep.any():
+    if not deep.any():
         u, err = _direct_batch(desc, S)
         return u, g, err
     u = np.empty(S.shape, dtype=complex)
@@ -455,9 +435,10 @@ def b_factor(s, l, desc: LFunctionDescriptor):
     return (0.5 * g) ** l
 
 
-def check_reflection_region(F, s, eps=0.1):
+def check_reflection_region(F, s):
     """Points where the reflected asymptotic is valid: Re s > 3/2 and at
-    least eps away from every shifted spectral point 2n - 1 + conj(mu)."""
+    least _REGION_EPS away from every shifted spectral point
+    2n - 1 + conj(mu)."""
     if s.real <= 1.5:
         raise RegionViolation(f"Re s = {s.real:.3f} is not > 3/2")
     for desc in F.lfuncs.values():
@@ -465,21 +446,21 @@ def check_reflection_region(F, s, eps=0.1):
             mub = complex(mu).conjugate()
             x = ((s - mub).real + 1) / 2
             for k in (math.floor(x), math.ceil(x)):
-                if abs(s - (2 * k - 1 + mub)) < eps:
+                if abs(s - (2 * k - 1 + mub)) < _REGION_EPS:
                     raise RegionViolation(
-                        f"s = {s} lies within {eps} of the shifted spectral "
-                        f"point {2 * k - 1 + mub}"
+                        f"s = {s} lies within {_REGION_EPS} of the shifted "
+                        f"spectral point {2 * k - 1 + mub}"
                     )
 
 
-def asymptotic_fe_main(F, s, profile, eps=0.1):
+def asymptotic_fe_main(F, s, profile):
     """Main term of F(1 - s, dual vector) predicted by the reflection formula.
 
     Sums the leading monomials J only; the caller compares against a direct
     evaluation of F(1 - s, dual) to measure the 1/log s decay.
     """
     s = complex(s)
-    check_reflection_region(F, s, eps)
+    check_reflection_region(F, s)
     sign = (-1) ** profile.deg_der
     total = 0j
     for j in profile.J:

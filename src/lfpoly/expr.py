@@ -17,17 +17,13 @@ from fractions import Fraction
 import numpy as np
 
 from .constants import LOG_2PI_E, STIELTJES, TWO_PI
-from .descriptors import LFunctionDescriptor, contragredient
-from .errors import (
-    AssumptionViolated,
-    NumericallyAmbiguous,
-    OracleRange,
-    ZeroExpression,
-)
+from .descriptors import contragredient
+from .errors import AssumptionViolated, NumericallyAmbiguous, ZeroExpression
 
 _ZERO_COEFF_TOL = 1e-14
 _SUMCJ_REL_TOL = 1e-12
 _ETA_ZERO_REL_TOL = 1e-12
+_MAX_NF = 2048  # search limit for the first nonzero Dirichlet coefficient
 
 
 @dataclass(frozen=True)
@@ -66,14 +62,12 @@ class Monomial:
 class PolyExpression:
     """Canonical expression: monomials plus the descriptor registry they use."""
 
-    def __init__(self, monomials, lfuncs, _canonical=False):
+    def __init__(self, monomials, lfuncs):
         self.lfuncs = dict(lfuncs)
         mono = list(monomials)
         if not mono:
             raise ZeroExpression("expression has no monomials")
-        if not _canonical:
-            mono = _canonical_monomials(mono)
-        self.monomials = tuple(mono)
+        self.monomials = tuple(_canonical_monomials(mono))
         for m in self.monomials:
             for fid, _, _ in m.factors:
                 if fid not in self.lfuncs:
@@ -81,9 +75,6 @@ class PolyExpression:
 
     def __repr__(self):
         return f"PolyExpression({len(self.monomials)} monomials, {sorted(self.lfuncs)})"
-
-    def descriptor(self, fid) -> LFunctionDescriptor:
-        return self.lfuncs[fid]
 
     @property
     def max_deriv(self):
@@ -139,15 +130,11 @@ def canonicalize(raw: PolyExpression) -> PolyExpression:
 
 @dataclass(frozen=True)
 class CoefficientSeries:
-    """eta_1..eta_N of the Dirichlet series of F, with rounding bounds."""
+    """eta_1..eta_N of the Dirichlet series of F, with rounding masses."""
 
     N: int
     eta: np.ndarray  # index 0 unused; eta[n] for 1 <= n <= N
     abs_mass: np.ndarray  # sum of |summands| feeding each eta[n]
-    error_bound: float  # per-entry bound, relative to abs_mass[n]
-
-    def entry_bound(self, n):
-        return self.error_bound * self.abs_mass[n]
 
     def is_zero(self, n):
         return abs(self.eta[n]) <= _ETA_ZERO_REL_TOL * self.abs_mass[n]
@@ -187,16 +174,13 @@ def dirichlet_coefficients(F: PolyExpression, N: int) -> CoefficientSeries:
         arr[1] = 1.0
         aarr[1] = 1.0
         for fid, l, d in m.factors:
-            try:
-                g = _factor_series(F.lfuncs[fid], l, N)
-            except OracleRange:
-                raise
+            g = _factor_series(F.lfuncs[fid], l, N)
             for _ in range(d):
                 arr = _dirichlet_convolve(arr, g, N)
                 aarr = _dirichlet_convolve(aarr, np.abs(g), N)
         eta += m.coeff * arr
         mass += abs(m.coeff) * aarr
-    return CoefficientSeries(N=N, eta=eta, abs_mass=mass, error_bound=1e-14)
+    return CoefficientSeries(N=N, eta=eta, abs_mass=mass)
 
 
 # --- exact cancellation test over log-of-prime monomials ------------------
@@ -254,12 +238,11 @@ def _neg_log_power(n, l):
     return out
 
 
-def _gaussian_rational(c, tol=1e-12):
+def _gaussian_rational(c):
     re = Fraction(c.real).limit_denominator(10**6)
     im = Fraction(c.imag).limit_denominator(10**6)
-    if abs(float(re) - c.real) <= tol * max(1.0, abs(c)) and abs(
-        float(im) - c.imag
-    ) <= tol * max(1.0, abs(c)):
+    tol = 1e-12 * max(1.0, abs(c))
+    if abs(float(re) - c.real) <= tol and abs(float(im) - c.imag) <= tol:
         return (re, im)
     return None
 
@@ -316,7 +299,7 @@ class DegreeProfile:
     alpha2: float
 
 
-def first_nonzero_index(F: PolyExpression, max_n=2048):
+def first_nonzero_index(F: PolyExpression):
     """(n_F, eta_{n_F}): first nonzero Dirichlet coefficient of F."""
     exact_cs = _exact_eta_supported(F)
     N = 64
@@ -330,9 +313,9 @@ def first_nonzero_index(F: PolyExpression, max_n=2048):
                 if _exact_eta(F, exact_cs, n):
                     # exact test says nonzero: numerically degenerate entry
                     return n, complex(series.eta[n])
-        if N >= max_n:
+        if N >= _MAX_NF:
             raise ZeroExpression(
-                f"no nonzero Dirichlet coefficient found up to n = {max_n}"
+                f"no nonzero Dirichlet coefficient found up to n = {_MAX_NF}"
             )
         N *= 2
 
@@ -455,18 +438,6 @@ def _zeta_deriv_laurent(l):
 
 def _analytic_taylor(F, desc, l, order):
     """Taylor coefficients at s = 1 of L^(l) for a pole-free descriptor."""
-    if desc.kind == "series":
-        # the descriptor is its coefficient list; differentiate the finite
-        # sum directly (evaluation near s = 1 is outside its valid region)
-        coeffs = desc.series_coeffs
-        c = []
-        for j in range(order):
-            v = sum(
-                cn * (-math.log(n)) ** (l + j) / n
-                for n, cn in enumerate(coeffs, start=1)
-            )
-            c.append(v / math.factorial(j))
-        return _Laurent(0, c, [abs(x) for x in c])
     from .evaluate import lfunc_derivatives  # local import: avoid cycle
 
     dv = lfunc_derivatives(desc, np.array([1.0 + 0j]), l + order, rel_tol=1e-9)
@@ -474,7 +445,7 @@ def _analytic_taylor(F, desc, l, order):
     return _Laurent(0, c, [abs(x) for x in c])
 
 
-def pole_order(F: PolyExpression, numeric_check=True) -> int:
+def pole_order(F: PolyExpression) -> int:
     """Exact order of the pole of F at s = 1 (0 if entire there).
 
     Computed from truncated Laurent arithmetic over the zeta expansion;
@@ -513,14 +484,13 @@ def pole_order(F: PolyExpression, numeric_check=True) -> int:
             break
         if abs(ci) > 1e-10 * max(ai, scale * 1e-6):
             order = -k
-            if numeric_check:
-                probe = _numeric_pole_probe(F)
-                if probe is not None and probe != order:
-                    raise NumericallyAmbiguous(
-                        f"Laurent arithmetic gives pole order {order} but the "
-                        f"numeric probe suggests {probe}",
-                        symbolic_bound=symbolic_bound,
-                    )
+            probe = _numeric_pole_probe(F)
+            if probe is not None and probe != order:
+                raise NumericallyAmbiguous(
+                    f"Laurent arithmetic gives pole order {order} but the "
+                    f"numeric probe suggests {probe}",
+                    symbolic_bound=symbolic_bound,
+                )
             return order
         if abs(ci) > 1e-14 * max(ai, 1.0):
             raise NumericallyAmbiguous(

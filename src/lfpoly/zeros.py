@@ -33,6 +33,10 @@ _MIN_BOUNDARY = 1e-10
 _MIN_SEG = 1e-9
 _SNAP = 0.1
 _MAX_SAMPLES = 2**18
+_REL_TOL = 1e-6  # evaluation target on contours
+_ISOLATION_TOL = 1e-9  # box diameter below which subdivision stops
+_NEWTON_TOL = 1e-10  # evaluation target for Newton steps and residuals
+_NEWTON_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -114,20 +118,20 @@ def _boundary_points(loop, step0):
     return np.array(pts, dtype=complex)
 
 
-def _winding_eval(F, rel_tol):
+def _winding_eval(F):
     """Boundary evaluator: (phase carriers, log magnitudes) per point batch.
 
     F = u exp(g) with g real, so u carries the phase and the magnitude
     stays finite however far left the contour reaches.
     """
     def ev(pts):
-        u, g = eval_F_scaled_batch(F, pts, rel_tol)
+        u, g = eval_F_scaled_batch(F, pts, _REL_TOL)
         with np.errstate(divide="ignore"):
             return u, np.log(np.abs(u)) + g
     return ev
 
 
-def _track_winding(ev, pts, vals, lm, max_samples):
+def _track_winding(ev, pts, vals, lm):
     """Refine a closed sample loop until phase steps are < pi/2; return turns."""
     guard = math.log(_MIN_BOUNDARY)
     while True:
@@ -151,9 +155,9 @@ def _track_winding(ev, pts, vals, lm, max_samples):
                     "of an integer"
                 )
             return int(round(w)), float(np.max(lm))
-        if pts.size > max_samples:
+        if pts.size > _MAX_SAMPLES:
             raise PhaseUnresolved(
-                f"needed more than {max_samples} boundary samples"
+                f"needed more than {_MAX_SAMPLES} boundary samples"
             )
         idx = np.nonzero(bad)[0]
         # a phase jump that survives down to tiny segments means a zero
@@ -170,8 +174,7 @@ def _track_winding(ev, pts, vals, lm, max_samples):
         lm = np.insert(lm, idx + 1, mlm)
 
 
-def winding_count(F, rect: Rectangle, rel_tol=1e-6, step0=0.25,
-                  max_samples=_MAX_SAMPLES):
+def winding_count(F, rect: Rectangle, step0=0.25):
     """Z - P of F inside rect by boundary phase accumulation.
 
     Counterclockwise boundary, adaptive sample insertion where consecutive
@@ -179,45 +182,29 @@ def winding_count(F, rect: Rectangle, rel_tol=1e-6, step0=0.25,
     """
     loop = list(rect.corners) + [rect.corners[0]]
     pts = _boundary_points(loop, step0)
-    ev = _winding_eval(F, rel_tol)
+    ev = _winding_eval(F)
     vals, lm = ev(pts)
-    return _track_winding(ev, pts, vals, lm, max_samples)[0]
+    return _track_winding(ev, pts, vals, lm)[0]
 
 
-def _winding_jittered(F, rect, rel_tol=1e-6, retries=5):
+def _winding_jittered(F, rect):
     """winding_count but the rectangle is nudged when the contour grazes a zero."""
     shifts = [0j, 0.01 + 0.01j, -0.01 + 0.01j, 0.01 - 0.01j,
               -0.01 - 0.01j, 0.007 + 0.013j]
     last = None
-    for dz in shifts[: retries + 1]:
+    for dz in shifts:
         try:
             r = rect.shifted(dz)
-            return winding_count(F, r, rel_tol), r
+            return winding_count(F, r), r
         except BoundaryTooClose as e:
             last = e
     raise last
 
 
-def winding_circle(F, center, radius, rel_tol=1e-6, M0=64):
-    th = 2 * np.pi * np.arange(M0 + 1) / M0
-    pts = center + radius * np.exp(1j * th)
-    ev = _winding_eval(F, rel_tol)
-    vals, lm = ev(pts)
-    return _track_winding(ev, pts, vals, lm, _MAX_SAMPLES)[0]
-
-
-def multiplicity(F, rho, nearest_other=None, rel_tol=1e-8):
-    """Winding on a small circle around a located zero."""
-    r = 1e-3
-    if nearest_other is not None:
-        r = min(r, abs(rho - nearest_other) / 2)
-    return winding_circle(F, rho, r, rel_tol)
-
-
-def _newton(F, z0, box, rel_tol=1e-10, iters=60):
+def _newton(F, z0, box):
     z = z0
-    for _ in range(iters):
-        f, fp = eval_F_with_prime(F, z, rel_tol)
+    for _ in range(_NEWTON_ITERS):
+        f, fp = eval_F_with_prime(F, z, _NEWTON_TOL)
         if fp == 0:
             return None
         step = f / fp
@@ -240,21 +227,19 @@ def _quadrisect(rect, fx=0.5, fy=0.5):
     ]
 
 
-def locate_zeros(F, rect: Rectangle, isolation_tol=1e-9, rel_tol=1e-6,
-                 _p_F=None):
+def locate_zeros(F, rect: Rectangle):
     """Zeros of F inside rect, recursively isolated and Newton-polished.
 
     Quadrisection until each box holds winding <= 1 or shrinks below
-    isolation_tol; winding-1 boxes are polished by Newton with bisection
+    _ISOLATION_TOL; winding-1 boxes are polished by Newton with bisection
     fallback; clustered zeros surface as one record with multiplicity.
     """
-    if _p_F is None:
-        _p_F = _expr.pole_order(F) if rect.contains(1 + 0j, margin=0.1) else 0
+    p_F = _expr.pole_order(F) if rect.contains(1 + 0j, margin=0.1) else 0
     out = []
-    w, rect = _winding_jittered(F, rect, rel_tol)
-    if _p_F and rect.contains(1 + 0j):
-        w += _p_F
-    _locate_rec(F, rect, w, isolation_tol, rel_tol, _p_F, out, 0)
+    w, rect = _winding_jittered(F, rect)
+    if p_F and rect.contains(1 + 0j):
+        w += p_F
+    _locate_rec(F, rect, w, p_F, out, 0)
     out.sort(key=lambda z: (z.gamma, z.beta))
     # a multiple zero lying on a subdivision line can surface once per
     # adjacent box; records at the same point merge into one
@@ -269,16 +254,16 @@ def locate_zeros(F, rect: Rectangle, isolation_tol=1e-9, rel_tol=1e-6,
     return merged
 
 
-def _locate_rec(F, rect, w, tol, rel_tol, p_F, out, depth):
+def _locate_rec(F, rect, w, p_F, out, depth):
     if w <= 0:
         return
     if w == 1:
         z = _newton(F, rect.center, rect)
         if z is not None and rect.contains(z, margin=1e-9):
-            res = abs(eval_F(F, z, rel_tol=1e-10))
+            res = abs(eval_F(F, z, rel_tol=_NEWTON_TOL))
             out.append(ZeroRecord(z, 1, res, rect, "newton"))
             return
-    if rect.diameter < tol:
+    if rect.diameter < _ISOLATION_TOL:
         z = rect.center
         out.append(ZeroRecord(z, w, abs(eval_F(F, z)), rect, "bisection-only"))
         return
@@ -291,7 +276,7 @@ def _locate_rec(F, rect, w, tol, rel_tol, p_F, out, depth):
             subs = _quadrisect(rect, *fr)
             ws = []
             for sub in subs:
-                sw = winding_count(F, sub, rel_tol)
+                sw = winding_count(F, sub)
                 if p_F and sub.contains(1 + 0j):
                     sw += p_F
                 ws.append(sw)
@@ -301,7 +286,7 @@ def _locate_rec(F, rect, w, tol, rel_tol, p_F, out, depth):
                 raise NonConvergence("no clean subdivision line", box=rect)
     for sub, sw in zip(subs, ws):
         if sw > 0:
-            _locate_rec(F, sub, sw, tol, rel_tol, p_F, out, depth + 1)
+            _locate_rec(F, sub, sw, p_F, out, depth + 1)
         remaining -= sw
     if remaining != 0:
         raise NonConvergence(
@@ -315,7 +300,7 @@ _E2_FLOOR = 3.0
 _TAIL_N = 1000
 
 
-def zero_free_bounds(F, profile=None, eps=0.1) -> StripBounds:
+def zero_free_bounds(F, profile=None) -> StripBounds:
     """E1/E2 such that all nontrivial zeros lie in E1 <= sigma <= E2.
 
     E2 comes from an explicit dominance bound on the Dirichlet tail (the
@@ -349,7 +334,7 @@ def zero_free_bounds(F, profile=None, eps=0.1) -> StripBounds:
     Fd = F.dual()
     tgrid = np.arange(2.0, 50.0 + 1e-9, 0.1)
     for sigma in range(-1, int(math.floor(default_E1)) - 1, -1):
-        if _scan_line_dominates(F, Fd, profile, sigma, tgrid, eps):
+        if _scan_line_dominates(F, Fd, profile, sigma, tgrid):
             E1 = float(sigma)
             break
     if E1 is None:
@@ -358,20 +343,21 @@ def zero_free_bounds(F, profile=None, eps=0.1) -> StripBounds:
     return StripBounds(E1=E1, E2=float(E2), E2certified=True, E1method=method)
 
 
-def _scan_line_dominates(F, Fd, profile, sigma, tgrid, eps):
-    ok = 0
-    total = 0
+def _scan_line_dominates(F, Fd, profile, sigma, tgrid):
+    """True if the main term dominates at every valid height of the line;
+    stops at the first height where it does not."""
+    checked = False
     for t in tgrid:
         s = complex(1 - sigma, t)
         try:
-            main = asymptotic_fe_main(F, s, profile, eps)
+            main = asymptotic_fe_main(F, s, profile)
         except RegionViolation:
             continue
-        total += 1
         direct = eval_F(Fd, 1 - s, rel_tol=1e-6)
-        if abs(direct - main) < abs(main) / 2:
-            ok += 1
-    return total > 0 and ok == total
+        if not abs(direct - main) < abs(main) / 2:
+            return False
+        checked = True
+    return checked
 
 
 # --- banded counting ------------------------------------------------------
@@ -406,34 +392,40 @@ def _band_edges(T1, T2, seed):
     return edges
 
 
-def count_nontrivial(F, T1, T2, strip=None, profile=None, rel_tol=1e-6,
-                     parallelism=1, seed=0):
+def _map_bands(T1, T2, strip, fn, parallelism, seed):
+    """fn applied to each unit band [E1, E2] x [a, b] of the window
+    (T1, T2), on up to parallelism threads; results in band order, so they
+    do not depend on scheduling."""
+    if T2 > MAX_HEIGHT:
+        raise ValueError(f"height {T2} exceeds the desk-scale cap {MAX_HEIGHT}")
+    if not T2 > T1 >= 0:
+        raise ValueError("need 0 <= T1 < T2")
+    edges = _band_edges(T1, T2, seed)
+    rects = [
+        Rectangle(strip.E1, strip.E2, a, b) for a, b in zip(edges, edges[1:])
+    ]
+    if parallelism > 1:
+        with ThreadPoolExecutor(max_workers=parallelism) as ex:
+            return list(ex.map(fn, rects))
+    return [fn(r) for r in rects]
+
+
+def count_nontrivial(F, T1, T2, strip=None, profile=None, parallelism=1,
+                     seed=0):
     """Number of zeros of F with E1 <= sigma <= E2 and T1' < t < T2.
 
     Unit-height winding bands with seeded edge jitter, summed in band
     order so the result is independent of scheduling.
     """
-    if T2 > MAX_HEIGHT:
-        raise ValueError(f"height {T2} exceeds the desk-scale cap {MAX_HEIGHT}")
-    if not T2 > T1 >= 0:
-        raise ValueError("need 0 <= T1 < T2")
     if profile is None:
         profile = _expr.degree_profile(F)
     if strip is None:
         strip = zero_free_bounds(F, profile)
-    edges = _band_edges(T1, T2, seed)
-    rects = [
-        Rectangle(strip.E1, strip.E2, a, b) for a, b in zip(edges, edges[1:])
-    ]
 
     def run_band(rect):
-        w, used = _winding_jittered(F, rect, rel_tol)
+        w, used = _winding_jittered(F, rect)
         return BandReport(used.t_lo, used.t_hi, w)
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as ex:
-            bands = list(ex.map(run_band, rects))
-    else:
-        bands = [run_band(r) for r in rects]
+    bands = _map_bands(T1, T2, strip, run_band, parallelism, seed)
     total = sum(b.count for b in bands)
     return CountResult(total=total, bands=bands, strip=strip)

@@ -128,6 +128,18 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
     assert doc["error"]["line"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--T", "20000"],
+    ["zeros", "--T1", "30", "--T2", "20"],
+])
+def test_bad_height_window_is_usage_error(zeta_file, tmp_path, capsys, argv):
+    out = str(tmp_path / "o")
+    assert _run([argv[0], zeta_file, "-o", out] + argv[1:]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, _schema("error"))
+    assert doc["error"]["type"] == "ValueError"
+
+
 def test_determinism_same_invocation(zeta_file, tmp_path):
     outs = []
     for name in ("a", "b"):

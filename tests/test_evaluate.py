@@ -8,11 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lfpoly import characters as chars
 from lfpoly import evaluate as ev
-from lfpoly.descriptors import (
-    dirichlet_descriptor,
-    series_descriptor,
-    zeta_descriptor,
-)
+from lfpoly.descriptors import dirichlet_descriptor, zeta_descriptor
 from lfpoly.errors import (
     AccuracyUnreachable,
     PoleAt1,
@@ -114,12 +110,6 @@ def test_zeta_derivatives_oracle():
 def test_derivatives_near_pole_rejected():
     with pytest.raises(PoleTooClose):
         ev.lfunc_derivatives(ZETA, np.array([1.0 + 1e-8j]), 1)
-
-
-def test_series_descriptor_region():
-    d = series_descriptor("toy", [1.0, 0.5, 0.25])
-    with pytest.raises(RegionViolation):
-        ev.lfunc_values(d, np.array([0.9 + 0j]))
 
 
 # --- expression evaluation ------------------------------------------------

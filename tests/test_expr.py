@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lfpoly import expr as E
-from lfpoly.descriptors import series_descriptor, zeta_descriptor
 from lfpoly.errors import AssumptionViolated, ZeroExpression
 
 from conftest import ZETA, build, zpoly
@@ -206,18 +205,14 @@ def test_assumption_violated_warns():
     assert not p.assumption_satisfied
 
 
-def test_alpha2_shift_with_synthetic_factor():
-    # multiplying by a factor supported on multiples of k shifts n_F by k
-    # and alpha2 by exactly -log(k)/(2 pi)
-    k = 2
-    shift = series_descriptor("shift2", [0.0] * (k - 1) + [1.0] + [0.0] * 400)
-    unit = series_descriptor("unit", [1.0] + [0.0] * 400)
-    # same degree structure on both sides, so only the n_F shift remains
-    F = build([(1.0, [(ZETA, 1, 1), (unit, 0, 1)])], [ZETA, unit])
-    G = build([(1.0, [(ZETA, 1, 1), (shift, 0, 1)])], [ZETA, shift])
-    pF, pG = E.degree_profile(F), E.degree_profile(G)
-    assert pG.n_F == k * pF.n_F
-    assert abs((pG.alpha2 - pF.alpha2) - (-math.log(k) / TWO_PI)) < 1e-12
+def test_alpha2_shift_with_n_F():
+    # zeta' has eta_1 = -log 1 = 0, so n_F moves from 1 to 2 while the rank
+    # and conductor degrees stay; alpha2 moves by exactly -log(2)/(2 pi)
+    pF = E.degree_profile(zpoly((1.0, [(0, 1)])))
+    pG = E.degree_profile(zpoly((1.0, [(1, 1)])))
+    assert (pF.n_F, pG.n_F) == (1, 2)
+    assert (pF.deg_rk, pF.deg_cond) == (pG.deg_rk, pG.deg_cond)
+    assert abs((pG.alpha2 - pF.alpha2) - (-math.log(2) / TWO_PI)) < 1e-12
 
 
 def test_predicted_count_values():

@@ -27,7 +27,8 @@ def test_winding_empty_rect(zeta_expr):
 
 
 def test_winding_pole_is_minus_one(zeta_expr):
-    assert Z.winding_circle(zeta_expr, 1.0 + 0j, 0.3) == -1
+    rect = Z.Rectangle(0.7, 1.3, -0.3, 0.3)
+    assert Z.winding_count(zeta_expr, rect) == -1
 
 
 def test_winding_double_zero():
@@ -89,6 +90,23 @@ def test_strip_bounds_invariants(zeta_expr, zeta_prime):
         assert sb.E1 < 0 < sb.E2
         assert sb.E2 >= 3
         assert sb.E2certified
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_e1_scan_stops_at_first_failure(k, monkeypatch):
+    # the factor-2 dominance fails on every line from sigma = -1 to -10 for
+    # zeta' and zeta''; each line is given up at its first failing height
+    calls = []
+    real = Z.eval_F
+
+    def counted(*args, **kw):
+        calls.append(args[1])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(Z, "eval_F", counted)
+    sb = Z.zero_free_bounds(zpoly((1.0, [(k, 1)])))
+    assert (sb.E1, sb.E1method) == (-10.0, "default")
+    assert len(calls) < 100
 
 
 def test_strip_zeta_prime_left_edge(zeta_prime):
