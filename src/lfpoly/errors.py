@@ -38,7 +38,7 @@ class AccuracyUnreachable(LfpolyError):
 
 
 class PoleTooClose(LfpolyError):
-    """Cauchy-circle radius collapsed below the minimum."""
+    """Derivative table requested within 1e-6 of the pole at s = 1."""
 
 
 class RegionViolation(LfpolyError):

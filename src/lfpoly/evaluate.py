@@ -8,8 +8,9 @@ over point arrays (Dirichlet L-functions reduce to Hurwitz values at
 rational shifts), and g = 0.  Left of it the dual is summed at 1 - s and
 carried over by the reflection factor, whose logarithm goes into g: the
 factor alone leaves the double range far left (|zeta(-740)| ~ 10^1500).
-Derivatives of any order come from a Cauchy integral over a small circle,
-with ring values rescaled to the largest log-magnitude on their ring.
+Every evaluation is a table of Taylor coefficients in e of L(s + e): the
+Euler-Maclaurin sum runs on truncated power series, so one pass gives all
+derivative orders with a bound per order, and values are its row 0.
 Expression values combine the per-factor scaled tables.
 """
 
@@ -19,7 +20,7 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import loggamma
+from scipy.special import loggamma, psi
 
 from .constants import BERNOULLI, MIN_TARGET_ERR
 from .descriptors import (
@@ -43,79 +44,140 @@ _POLE_GUARD = 1e-8
 _DEEP_SIGMA = -2.0
 # least distance of a reflection point from the shifted spectral points
 _REGION_EPS = 0.1
+# radius of the circle on which Cauchy's estimate bounds the truncation
+# error of every Taylor coefficient
+_R = 0.5
+# entries per block of the main sum: small batches take few large blocks
+_BLOCK = 1 << 14
 
 
-def _expm1_over_x(x):
-    """(exp(x) - 1) / x for complex arrays, stable at the origin."""
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 0.0, x)
-    with np.errstate(invalid="ignore"):
-        direct = (np.exp(xs) - 1) / np.where(small, 1.0, xs)
-    series = 1 + x / 2 + x**2 / 6 + x**3 / 24
-    return np.where(small, series, direct)
+def _smul(A, B):
+    """Truncated product of two power series stored as (order, point) rows;
+    either factor may be a list of scalars."""
+    return np.array([sum(A[i] * B[j - i] for i in range(j + 1)) for j in range(len(A))])
 
 
-def _hurwitz_batch(S, a=1.0, nb=None, subtract_pole=False):
-    """Euler-Maclaurin zeta(s, a) over an array of points.
+def _shift_mul(p, v):
+    """p(e) * (v + e) for series p with orders on axis -2."""
+    out = p * v
+    out[..., 1:, :] += p[..., :-1, :]
+    return out
 
-    Returns (values, bounds) where bounds[i] estimates the absolute error
-    at S[i] from truncation plus accumulated rounding.  With subtract_pole
-    the value returned is zeta(s, a) - 1/(s - 1), analytic at s = 1; the
-    character sums that are entire at 1 are built from this variant.
+
+def _tail_series(S, L, n, subtract_pole):
+    """Series in e of (N + a)^(1 - s - e) / (s - 1 + e) with L = log(N + a),
+    less 1/(s - 1 + e) under subtract_pole, with the absolute mass of each
+    coefficient."""
+    y = 1 - S
+    X1 = np.exp(y * L)
+    aX1 = np.abs(X1)
+    T = np.empty((n, S.size), dtype=complex)
+    A = np.empty((n, S.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # dividing by (s - 1 + e): T_j = (X1 (-L)^j / j! - T_(j-1)) / (s - 1)
+        T[0] = (X1 - subtract_pole) / -y
+        A[0] = (aX1 + subtract_pole) / np.abs(y)
+        for j in range(1, n):
+            ej = (-L) ** j / math.factorial(j)
+            T[j] = (X1 * ej - T[j - 1]) / -y
+            A[j] = (aX1 * abs(ej) + A[j - 1]) / np.abs(y)
+    near = np.nonzero(np.abs(y) < 0.5)[0] if subtract_pole else []
+    if len(near):
+        # each step divides by s - 1, so near s = 1 the tail is -h(1 - s - e)
+        # with h(x) = (exp(xL) - 1) / x, whose j-th coefficient at y is
+        # L^(j+1) / j! sum_m (yL)^m / (m! (m + j + 1)); |yL| < L / 2 < 5
+        # up to MAX_HEIGHT, so 40 terms leave less than 1e-20
+        z = y[near] * L
+        U = np.empty((40, near.size), dtype=complex)
+        U[0] = 1
+        for m in range(1, 40):
+            U[m] = U[m - 1] * z / m
+        m = np.arange(40)[:, None]
+        for j in range(n):
+            c = (-1) ** (j + 1) * L ** (j + 1) / math.factorial(j)
+            T[j, near] = c * (U / (m + j + 1)).sum(axis=0)
+            A[j, near] = abs(c) * (np.abs(U) / (m + j + 1)).sum(axis=0)
+    return T, A
+
+
+def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
+    """Euler-Maclaurin zeta(s + e, a) as a power series in e over an array
+    of points.
+
+    Returns (C, trunc, rnd), each of shape (lmax + 1, len(S)), with
+    zeta(s + e, a) = sum_j C[j] e^j; trunc[j] and rnd[j] bound the
+    truncation and the rounding error of C[j].  One pass over the main sum
+    gives every order, since (k + a)^-(s+e) = (k + a)^-s sum_j
+    (-log(k + a))^j e^j / j!; the tail and Bernoulli terms are truncated
+    series products.  The dropped remainder is entire in s, so Cauchy's
+    estimate bounds its j-th coefficient by its largest value on the circle
+    |e| = _R over _R^j.  With subtract_pole the series is that of
+    zeta(s, a) - 1/(s - 1), entire at s = 1; the character sums that are
+    entire at 1 are built from this variant.
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
     if not 0 < a <= 1:
         raise ValueError("shift a must lie in (0, 1]")
     if not subtract_pole and np.any(np.abs(S - 1) < _POLE_GUARD):
         raise PoleAt1("zeta(s, a) requested too close to s = 1")
+    n = lmax + 1
     tmax = float(np.max(np.abs(S.imag)))
     smin = float(np.min(S.real))
     N = max(20, int(math.ceil(1.2 * tmax)))
-    if nb is None:
-        nb = min(29, max(10, int(math.ceil((3 - smin) / 2)) + 1))
-    out = np.zeros_like(S)
-    ks = np.arange(N) + a
-    logs = np.log(ks)
-    for i0 in range(0, N, 64):
-        blk = logs[i0 : i0 + 64]
-        out += np.exp(-np.multiply.outer(S, blk)).sum(axis=1)
-    Na = N + a
-    lNa = math.log(Na)
-    if subtract_pole:
-        tail1 = -lNa * _expm1_over_x((1 - S) * lNa)
-    else:
-        tail1 = np.exp((1 - S) * lNa) / (S - 1)
-    tail2 = 0.5 * np.exp(-S * lNa)
-    out += tail1 + tail2
-    corr_mass = np.zeros(S.shape)
-    poch = np.ones_like(S)
-    for j in range(1, nb + 1):
-        if j == 1:
-            poch = S.copy()
-        else:
-            poch = poch * (S + 2 * j - 3) * (S + 2 * j - 2)
-        c = _BFLOAT[2 * j] / math.factorial(2 * j)
-        term = c * poch * np.exp(-(S + 2 * j - 1) * lNa)
-        out += term
-        corr_mass += np.abs(term)
-    # truncation: magnitude of the first dropped correction term, inflated
-    # by the standard remainder comparison factor
-    poch_next = poch * (S + 2 * nb - 1) * (S + 2 * nb)
+    nb = min(29, max(10, int(math.ceil((3 - smin + _R) / 2)) + 1))
+    logs = np.log(np.arange(N) + a)
+    P = np.stack([(-logs) ** j / math.factorial(j) for j in range(n)], axis=1)
+    aP = np.abs(P)
+    sig, t = S.real, S.imag
+    re = np.zeros((S.size, n))
+    im = np.zeros((S.size, n))
+    mass = np.zeros((S.size, n))
+    B = max(64, _BLOCK // S.size)
+    for i0 in range(0, N, B):
+        blk = logs[i0 : i0 + B]
+        mod = np.exp(-np.multiply.outer(sig, blk))
+        ph = np.multiply.outer(t, blk)
+        re += (mod * np.cos(ph)) @ P[i0 : i0 + B]
+        im -= (mod * np.sin(ph)) @ P[i0 : i0 + B]
+        mass += mod @ aP[i0 : i0 + B]
+    C = (re + 1j * im).T
+    mass = mass.T
+    L = math.log(N + a)
+    tail, tail_mass = _tail_series(S, L, n, subtract_pole)
+    # 1/2 (N + a)^-(s+e) plus the Bernoulli terms B_2j / (2j)! (s + e)_(2j-1)
+    # (N + a)^(-s-e-2j+1), summed as (N + a)^-(s+e) Q(e) by Horner's rule;
+    # row 1 of each stacked pair carries the absolute masses
+    V = S + np.arange(2 * nb + 1)[:, None]
+    aV = np.abs(V)
+    V2 = np.stack([V, aV], axis=1)[:, :, None, :]
+    cb = [_BFLOAT[2 * j] / math.factorial(2 * j) * (N + a) ** (1 - 2 * j)
+          for j in range(1, nb + 1)]
+    H = np.zeros((2, n, S.size), dtype=complex)
+    H[:, 0] = [[cb[-1]], [abs(cb[-1])]]
+    for j in range(nb - 1, 0, -1):
+        H = _shift_mul(_shift_mul(H, V2[2 * j]), V2[2 * j - 1])
+        H[:, 0] += [[cb[j - 1]], [abs(cb[j - 1])]]
+    H = _shift_mul(H, V2[0])
+    H[:, 0] += 0.5
+    Q, AQ = H[0], H[1].real
+    ep = [(-L) ** j / math.factorial(j) for j in range(n)]
+    X = np.exp(-S * L)
+    C += tail + X * _smul(Q, ep)
+    # rounding: every term carries a few ulps, the j-th log power j more,
+    # and the exponent rounds at ~ eps |s log(N + a)|
+    per_term = _EPS * (4.0 + np.arange(n)[:, None] + np.abs(S) * L)
+    rnd = per_term * (mass + tail_mass + np.abs(X) * _smul(AQ, np.abs(ep)))
+    # truncation: the first dropped Bernoulli term, inflated by the standard
+    # remainder comparison factor, at the worst point of the circle
+    # |e| = _R (each |s + e + k| is at most |s + k| + _R)
+    lo = sig - _R + 2 * nb + 1
+    poch_next = np.prod(aV + _R, axis=0)
     cnext = abs(_BFLOAT[2 * nb + 2]) / math.factorial(2 * nb + 2)
-    drop = cnext * np.abs(poch_next) * np.exp(-(S.real + 2 * nb + 1) * lNa)
-    denom = S.real + 2 * nb + 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        safety = np.where(denom > 0, (np.abs(S) + 2 * nb + 1) / np.maximum(denom, 1e-300), np.inf)
-    trunc = drop * safety
-    # rounding: the main sum terms are monotone in k, so their absolute
-    # mass is at most N times the larger endpoint
-    ends = np.maximum(np.exp(-S.real * math.log(a)) if a < 1 else 1.0,
-                      np.exp(-S.real * logs[-1]))
-    mass = N * ends + np.abs(tail1) + np.abs(tail2) + corr_mass
-    # each term carries a few ulps plus exponent rounding ~ eps |s log(N+a)|
-    per_term = _EPS * (4.0 + np.abs(S) * lNa)
-    bounds = trunc + per_term * mass
-    return out, bounds
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        safety = np.where(lo > 0, (np.abs(S) + _R + 2 * nb + 1) / np.maximum(lo, 1e-300), np.inf)
+        rmax = cnext * poch_next * np.exp(-lo * L) * safety
+    trunc = rmax / _R ** np.arange(n)[:, None]
+    return C, trunc, rnd
 
 
 def _check_target(err):
@@ -137,10 +199,8 @@ def _certified(v, b, err, s):
 def hurwitz_zeta(s, a=1.0, err=1e-10):
     """zeta(s, a) with certified absolute error at most err."""
     _check_target(err)
-    v, b = _hurwitz_batch(np.array([s]), a)
-    if b[0] > err:
-        v, b = _hurwitz_batch(np.array([s]), a, nb=29)
-    return _certified(v[0], b[0], err, s)
+    C, trunc, rnd = _hurwitz_batch(np.array([s]), a)
+    return _certified(C[0, 0], trunc[0, 0] + rnd[0, 0], err, s)
 
 
 def zeta(s, err=1e-10):
@@ -152,29 +212,31 @@ def zeta(s, err=1e-10):
     return _certified(v[0], b[0], err, s)
 
 
-def _dirichlet_batch(S, chi):
-    """Euler-Maclaurin L(s, chi) as a character sum of Hurwitz values."""
+def _dirichlet_batch(S, chi, lmax=0):
+    """Euler-Maclaurin series of L(s + e, chi) as a character sum of Hurwitz
+    series, returned like _hurwitz_batch."""
     q = chi.modulus
     principal = chi.conductor == 1
     S = np.atleast_1d(np.asarray(S, dtype=complex))
     if principal and np.any(np.abs(S - 1) < _POLE_GUARD):
         raise PoleAt1("principal-character L-function has a pole at s = 1")
-    vals = None
-    bounds = None
+    C = trunc = rnd = mass = 0
     for a in range(1, q + 1):
         c = chi(a)
         if c == 0:
             continue
         # for non-principal chi the 1/(s-1) poles cancel since the character
         # values sum to zero, so use the pole-subtracted Hurwitz variant
-        v, b = _hurwitz_batch(S, a / q, subtract_pole=not principal)
-        if vals is None:
-            vals, bounds = c * v, abs(c) * b
-        else:
-            vals += c * v
-            bounds += abs(c) * b
-    scale = np.exp(-S * math.log(q))
-    return scale * vals, np.abs(scale) * bounds
+        Ca, ta, ra = _hurwitz_batch(S, a / q, lmax, subtract_pole=not principal)
+        C = C + c * Ca
+        trunc = trunc + abs(c) * ta
+        rnd = rnd + abs(c) * ra
+        mass = mass + abs(c) * np.abs(Ca)
+    # times q^-(s+e)
+    lq = math.log(q)
+    Z = np.exp(-S * lq) * np.array([(-lq) ** j / math.factorial(j) for j in range(lmax + 1)])[:, None]
+    aZ = np.abs(Z)
+    return _smul(C, Z), _smul(trunc, aZ), _smul(rnd + 2 * _EPS * mass, aZ)
 
 
 def dirichlet_l(s, chi, err=1e-10):
@@ -188,127 +250,150 @@ def dirichlet_l(s, chi, err=1e-10):
     if chi.is_primitive and chi.conductor > 1:
         v, b = lfunc_values(dirichlet_descriptor(chi), S)
     else:
-        v, b = _dirichlet_batch(S, chi)
+        C, trunc, rnd = _dirichlet_batch(S, chi)
+        v, b = C[0], trunc[0] + rnd[0]
     return _certified(v[0], b[0], err, s)
 
 
-def _direct_batch(desc, S):
-    """Values and absolute error bounds by direct summation."""
+def _direct_batch(desc, S, lmax):
+    """Taylor table of L(s + e) by direct summation, as _hurwitz_batch."""
     if desc.kind == "zeta":
-        return _hurwitz_batch(S)
+        return _hurwitz_batch(S, 1.0, lmax)
     if desc.kind == "dirichlet":
-        return _dirichlet_batch(S, desc.character)
+        return _dirichlet_batch(S, desc.character, lmax)
     raise ValueError(f"unknown descriptor kind {desc.kind!r}")
 
 
-def _reflected_scaled(desc, W):
-    """(u, g, err) for L(1 - W, dual) = Phi(W) L(W, pi) = u exp(g).
+def _hurwitz_int(j, z):
+    """zeta(j, z) = sum_k (z + k)^-j for an integer j >= 2 and Re z >= 3/2:
+    ten terms, then Euler-Maclaurin with eight Bernoulli terms.  The
+    remainder is below 4 (j)_16 (2 pi)^-16 (Re z + 10)^(-j-15) / (j + 15),
+    at most 1.3e-17."""
+    out = sum((z + k) ** -j for k in range(10))
+    w = z + 10
+    out += w ** (1 - j) / (j - 1) + 0.5 * w**-j
+    poch = 1.0
+    for i in range(1, 9):
+        poch *= j if i == 1 else (j + 2 * i - 3) * (j + 2 * i - 2)
+        out += _BFLOAT[2 * i] / math.factorial(2 * i) * poch * w ** (1 - j - 2 * i)
+    return out
 
-    L(W, pi) is summed directly; err is the absolute error of u.
+
+def _fe_series(desc, W, n):
+    """(Phi, mass, G): Phi(W - e) = exp(G) sum_j Phi[j] e^j for the factor
+    of log_fe_factor, with mass[j] >= |Phi[j]| the absolute mass that the
+    rounding of Phi[j] scales with.
+
+    Phi is exp of a smooth part times cosines.  The smooth part's Taylor
+    coefficients are loggamma, psi and, for j >= 2, (1/2)^j zeta(j, z) / j
+    at each Gamma argument z; they are exponentiated as a series.  Each
+    cosine is expanded directly, cos(a - x) = cos a cos x + sin a sin x,
+    scaled by exp(-|Im a|), so a zero of Phi (a trivial zero of the dual)
+    costs nothing.  Needs Re W > 3.
     """
-    base, bb = _direct_batch(desc, W)
-    lf = log_fe_factor(desc, W)
-    u = np.exp(1j * lf.imag) * base
-    rel = bb / np.maximum(np.abs(base), 1e-300) + 1e-13 * (1 + np.abs(W))
-    return u, lf.real, np.abs(u) * rel
+    # lam[j]: Taylor coefficients in e of the smooth part of log Phi(W - e)
+    lam = np.zeros((n, W.size), dtype=complex)
+    lam[0] = _log_fe_smooth(desc, W)
+    if n > 1:
+        lam[1] = -(math.log(desc.conductor) - desc.rank * math.log(math.pi))
+    cos_parts = []
+    G = lam[0].real.copy()
+    for mu in desc.spectral_params:
+        mub = complex(mu).conjugate()
+        for z in ((W + mu) / 2, (1 + W - mub) / 2):
+            if n > 1:
+                lam[1] -= 0.5 * psi(z)
+            for j in range(2, n):
+                lam[j] += 0.5**j / j * _hurwitz_int(j, z)
+        a = math.pi * (W - mub) / 2
+        y = np.abs(a.imag)
+        p = np.exp(1j * a.real - a.imag - y)
+        q = np.exp(-1j * a.real + a.imag - y)
+        G += y
+        cs = np.array([(p + q) / 2 if j % 2 == 0 else (p - q) / 2j for j in range(n)])
+        cs *= np.array([(-1) ** (j // 2) * (math.pi / 2) ** j / math.factorial(j) for j in range(n)])[:, None]
+        cos_parts.append(cs)
+    e = np.zeros((n, W.size), dtype=complex)
+    ae = np.zeros((n, W.size))
+    e[0] = np.exp(1j * lam[0].imag)
+    ae[0] = 1.0
+    for j in range(1, n):
+        e[j] = sum(k * lam[k] * e[j - k] for k in range(1, j + 1)) / j
+        ae[j] = sum(k * np.abs(lam[k]) * ae[j - k] for k in range(1, j + 1)) / j
+    for cs in cos_parts:
+        e, ae = _smul(e, cs), _smul(ae, np.abs(cs))
+    return e, ae, G
 
 
-def _lfunc_values_scaled(desc, S):
-    """(u, g, err) with L(s) = u exp(g) and err the absolute error of u.
+def _reflected(desc, W, lmax):
+    """(C, G, trunc, rnd): L(1 - W + e, dual) = exp(G) sum_j C[j] e^j from
+    L(1 - W + e, dual) = Phi(W - e) L(W - e, pi), with L(W - e, pi) summed
+    directly; trunc and rnd bound the errors of C in its own scale."""
+    n = lmax + 1
+    C, trunc, rnd = _direct_batch(desc, W, lmax)
+    C = C * ((-1.0) ** np.arange(n))[:, None]
+    Phi, mass, G = _fe_series(desc, W, n)
+    # loggamma, psi and the phase exp(i Im log Phi) carry a relative error
+    # that grows with |log Phi| ~ |W log W|
+    rel = 1e-13 * (1 + np.abs(W))
+    return (_smul(Phi, C), G, _smul(mass, trunc),
+            _smul(mass, rnd) + rel * _smul(mass, np.abs(C)))
 
-    Right of sigma = -2 the value is summed directly and g = 0; left of it
+
+def _lfunc_taylor(desc, S, lmax):
+    """(C, G, trunc, rnd) with L(s + e) = exp(G) sum_j C[j] e^j at each
+    point of S, and trunc[j], rnd[j] bounds on the truncation and rounding
+    error of C[j].
+
+    Right of sigma = -2 the series is summed directly and G = 0; left of it
     the dual is summed at 1 - s and reflected.
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
-    g = np.zeros(S.shape)
+    n = lmax + 1
+    C = np.empty((n, S.size), dtype=complex)
+    G = np.zeros(S.shape)
+    trunc = np.empty((n, S.size))
+    rnd = np.empty((n, S.size))
     deep = S.real < _DEEP_SIGMA
-    if not deep.any():
-        u, err = _direct_batch(desc, S)
-        return u, g, err
-    u = np.empty(S.shape, dtype=complex)
-    err = np.empty(S.shape)
     if (~deep).any():
-        u[~deep], err[~deep] = _direct_batch(desc, S[~deep])
-    u[deep], g[deep], err[deep] = _reflected_scaled(contragredient(desc), 1 - S[deep])
-    return u, g, err
+        C[:, ~deep], trunc[:, ~deep], rnd[:, ~deep] = _direct_batch(desc, S[~deep], lmax)
+    if deep.any():
+        C[:, deep], G[deep], trunc[:, deep], rnd[:, deep] = _reflected(
+            contragredient(desc), 1 - S[deep], lmax
+        )
+    return C, G, trunc, rnd
 
 
 def lfunc_values(desc: LFunctionDescriptor, S):
     """Values of L(s, pi) over an array of points, with absolute error bounds."""
-    u, g, err = _lfunc_values_scaled(desc, S)
-    scale = np.exp(g)
-    return u * scale, err * scale
+    C, G, trunc, rnd = _lfunc_taylor(desc, S, 0)
+    scale = np.exp(G)
+    return C[0] * scale, (trunc[0] + rnd[0]) * scale
 
 
 def lfunc_derivatives_scaled(desc, S, lmax, rel_tol=1e-9):
     """Scaled derivative tables (D, G): L^(l)(S[i]) = D[l, i] exp(G[i]).
 
-    Cauchy circles: one ring of base evaluations per point yields every
-    derivative order.  Ring values are rescaled by the largest
-    log-magnitude on their ring before the quadrature, so the arithmetic
-    never leaves the double range.  The ring count doubles until two passes
-    agree to rel_tol.  D has shape (lmax + 1, len(S)).
+    D has shape (lmax + 1, len(S)) and row l is l! times the Taylor
+    coefficient of order l, all from one Euler-Maclaurin pass.  rel_tol
+    gates the truncation bound: AccuracyUnreachable is raised where it
+    exceeds rel_tol times the largest |D[l]| of the batch plus the rounding
+    bound of the same entry.  A purely relative gate would fail at zeros of
+    L, where the value is all rounding.
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
-    if lmax == 0:
-        u, g, _ = _lfunc_values_scaled(desc, S)
-        return u[None, :], g
-    radii = np.full(S.shape, 0.5)
-    if desc.pole_order > 0:
-        dist = np.abs(S - 1)
-        if np.any(dist < 1e-6):
-            raise PoleTooClose(
-                "derivative circle would collapse onto the pole at s = 1"
-            )
-        radii = np.minimum(0.5, dist / 2)
-    # quantize so nearby points share one vectorized ring batch
-    rq = np.where(radii >= 0.5, 0.5, 2.0 ** np.floor(np.log2(np.maximum(radii, 1e-12))))
-    D = np.empty((lmax + 1, S.size), dtype=complex)
-    G = np.empty(S.shape)
-    for r in np.unique(rq):
-        idx = np.nonzero(rq == r)[0]
-        D[:, idx], G[idx] = _ring_derivs(desc, S[idx], lmax, float(r), rel_tol)
-    return D, G
-
-
-def _ring_derivs(desc, centers, lmax, r, rel_tol):
-    M = 64
-    prev = prev_G = None
-    while True:
-        th = 2 * np.pi * np.arange(M) / M
-        Z = centers[:, None] + r * np.exp(1j * th)[None, :]
-        U, gv, err = (a.reshape(Z.shape) for a in _lfunc_values_scaled(desc, Z.ravel()))
-        G = gv.max(axis=1)
-        w = np.exp(gv - G[:, None])
-        FV = U * w
-        # absolute error of the ring values in the ring's own scale
-        base_err = float(np.max(err * w))
-        res = np.empty((lmax + 1, centers.size), dtype=complex)
-        for l in range(lmax + 1):
-            wl = np.exp(-1j * l * th)
-            res[l] = math.factorial(l) / (r**l * M) * (FV * wl[None, :]).sum(axis=1)
-        if prev is not None:
-            prev = prev * np.exp(prev_G - G)[None, :]
-            # per-order agreement, with a floor at the l!/r^l amplification
-            # of base rounding below which agreement cannot be expected
-            rowscale = np.max(np.abs(res), axis=1, keepdims=True)
-            floors = np.array(
-                [
-                    math.factorial(l) / r**l * max(1e-14, 2 * base_err)
-                    for l in range(lmax + 1)
-                ]
-            )[:, None]
-            diff = np.abs(res - prev)
-            if (diff <= rel_tol * rowscale + floors).all():
-                return res, G
-            if M >= 2048:
-                d = float(np.max(diff / (rowscale + 1e-300)))
-                raise AccuracyUnreachable(
-                    f"derivative rings did not stabilize to {rel_tol:.1e} "
-                    f"(last disagreement {d:.2e})"
-                )
-        prev, prev_G = res, G
-        M *= 2
+    if desc.pole_order > 0 and np.any(np.abs(S - 1) < 1e-6):
+        raise PoleTooClose("derivative table requested within 1e-6 of the pole at s = 1")
+    C, G, trunc, rnd = _lfunc_taylor(desc, S, lmax)
+    bad = trunc > rel_tol * np.abs(C).max(axis=1, keepdims=True) + rnd
+    if bad.any():
+        l, i = (int(x[0]) for x in np.nonzero(bad))
+        raise AccuracyUnreachable(
+            f"truncation bound {trunc[l, i]:.2e} of order {l} at s = {S[i]} "
+            f"exceeds the target {rel_tol:.1e}"
+        )
+    fact = np.array([math.factorial(l) for l in range(lmax + 1)])[:, None]
+    return C * fact, G
 
 
 def lfunc_derivatives(desc, S, lmax, rel_tol=1e-9):
@@ -402,22 +487,27 @@ def log_fe_factor(desc: LFunctionDescriptor, s):
     where each factor alone overflows.
     """
     z = np.atleast_1d(np.asarray(s, dtype=complex))
-    m = desc.rank
-    out = -cmath.log(desc.root_number) + (z - 0.5) * math.log(desc.conductor)
-    out += (-m / 2 - m * z) * math.log(math.pi)
+    out = _log_fe_smooth(desc, z)
     for mu in desc.spectral_params:
-        mub = complex(mu).conjugate()
-        out += _log_cos(math.pi * (z - mub) / 2)
-        out += loggamma((z + mu) / 2)
-        out += loggamma((1 + z - mub) / 2)
+        out += _log_cos(math.pi * (z - complex(mu).conjugate()) / 2)
     # a scalar point gives a scalar, an array an array of its shape
     return out.reshape(np.shape(s))[()]
 
 
+def _log_fe_smooth(desc, z):
+    """log Phi(z) without its cosine factors, over an array."""
+    m = desc.rank
+    out = -cmath.log(desc.root_number) + (z - 0.5) * math.log(desc.conductor)
+    out += (-m / 2 - m * z) * math.log(math.pi)
+    for mu in desc.spectral_params:
+        out += loggamma((z + mu) / 2) + loggamma((1 + z - complex(mu).conjugate()) / 2)
+    return out
+
+
 def reflected_lvalue(desc, s):
     """L(1 - s, dual) computed from L(s, pi) through the reflection factor."""
-    u, g, _ = _reflected_scaled(desc, np.array([s], dtype=complex))
-    return complex(u[0] * np.exp(g[0]))
+    C, G, _, _ = _reflected(desc, np.array([s], dtype=complex), 0)
+    return complex(C[0, 0] * np.exp(G[0]))
 
 
 def b_factor(s, l, desc: LFunctionDescriptor):

@@ -210,6 +210,64 @@ def test_scaled_deep_oracle():
     mp.mp.dps = 40
 
 
+class _ExactReal:
+    """A real character with its values rounded to the exact 0, 1 or -1."""
+
+    def __init__(self, chi):
+        self.chi = chi
+        self.modulus = chi.modulus
+
+    def __call__(self, a):
+        return round(self.chi(a).real)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_entire_at_1_oracle(q):
+    # non-principal L is entire at s = 1: its table there comes from the
+    # pole-subtracted tail series.  mpmath's Hurwitz poles cancel in the
+    # character sum, so the reference is taken 1e-30 right of 1, with exact
+    # character values and enough digits to absorb l! / (s - 1)^(l+1)
+    chi = chars.character_table(q)[1]
+    D = ev.lfunc_derivatives(dirichlet_descriptor(chi), np.array([1.0 + 0j]), 3)
+    with mp.workdps(160):
+        refs = _mp_derivatives(_ExactReal(chi), 1 + mp.mpf("1e-30"), 3)
+    for l, ref in enumerate(refs):
+        assert abs(D[l, 0] - ref) <= 1e-10 * max(1.0, abs(ref)), l
+
+
+def test_pole_order_reads_table_at_1(l_chi4):
+    from lfpoly import expr as E
+
+    F = build([(1.0, [(ZETA, 1, 1), (l_chi4, 0, 1)])], [ZETA, l_chi4])
+    assert E.pole_order(F) == 2
+
+
+# the bound of every Taylor coefficient must cover its true error, on both
+# sides of the reflection line and up to the heights the zero engine uses
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(_ORACLE_CHARS)),
+    sigma=st.one_of(st.floats(-60.0, -2.0), st.floats(-2.0, 4.0)),
+    t=st.floats(1.0, 300.0),
+    flip=st.booleans(),
+)
+@example(name="chi4", sigma=-59.5, t=299.0, flip=False)
+@example(name="zeta", sigma=-2.01, t=300.0, flip=True)
+@example(name="chi3", sigma=-1.99, t=250.0, flip=False)
+@example(name="zeta", sigma=3.9, t=1.0, flip=False)
+def test_taylor_bounds_honest(name, sigma, t, flip):
+    chi = _ORACLE_CHARS[name]
+    desc = ZETA if chi is None else dirichlet_descriptor(chi)
+    s = complex(sigma, -t if flip else t)
+    C, G, trunc, rnd = ev._lfunc_taylor(desc, np.array([s]), 3)
+    with mp.workdps(25):
+        refs = _mp_derivatives(chi, s, 3)
+        for l, ref in enumerate(refs):
+            # the reference in the table's own scale exp(G) / l!
+            want = complex(mp.mpc(ref) * mp.exp(-G[0]) / math.factorial(l))
+            assert abs(C[l, 0] - want) <= trunc[l, 0] + rnd[l, 0], (s, l)
+
+
 # --- functional-equation pieces -------------------------------------------
 
 def test_b_factor_power_example():
