@@ -48,17 +48,18 @@ def verify_count(F, T, profile=None, strip=None, parallelism=1, seed=0) -> Count
 def zero_list(F, T1, T2, strip=None, profile=None, parallelism=1, seed=0):
     """Located zeros with T1 < gamma < T2, band by band, sorted by height.
 
-    seed jitters the band edges, as in count_nontrivial.
+    Bands are wound in lockstep blocks, as in count_nontrivial, and zeros
+    are isolated in the bands that wind; seed jitters the band edges.
     """
     if profile is None:
         profile = _expr.degree_profile(F)
     if strip is None:
         strip = _zeros.zero_free_bounds(F, profile)
 
-    def run(rect):
-        return _zeros.locate_zeros(F, rect)
-
-    chunks = _zeros._map_bands(T1, T2, strip, run, parallelism, seed)
+    chunks = _zeros._map_bands(
+        T1, T2, strip, lambda rects: _zeros._locate_block(F, rects),
+        parallelism, seed,
+    )
     out = [z for chunk in chunks for z in chunk if T1 < z.gamma < T2]
     out.sort(key=lambda z: (z.gamma, z.beta))
     return out
@@ -163,15 +164,13 @@ def trivial_zero_audit(F, epsilon, n_range, profile=None):
                 c = -2 * n - complex(mu)
                 if all(abs(c - c0) > 1e-9 for c0 in centers):
                     centers.append(c)
-        merged = _merge_centers(centers, 2 * epsilon)
-        count = 0
-        for c in merged:
-            rect = _zeros.Rectangle(
-                c.real - epsilon, c.real + epsilon,
-                c.imag - epsilon, c.imag + epsilon,
-            )
-            w, _ = _zeros._winding_jittered(F, rect)
-            count += w
+        rects = [
+            _zeros.Rectangle(c.real - epsilon, c.real + epsilon,
+                             c.imag - epsilon, c.imag + epsilon)
+            for c in _merge_centers(centers, 2 * epsilon)
+        ]
+        wound = _zeros._first_error(_zeros._windings_jittered(F, rects))
+        count = sum(w for w, _ in wound)
         reports.append(
             DiskReport(n=n, centers=tuple(centers), count=count,
                        expected=profile.deg_rk)

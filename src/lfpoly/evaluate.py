@@ -10,8 +10,12 @@ carried over by the reflection factor, whose logarithm goes into g: the
 factor alone leaves the double range far left (|zeta(-740)| ~ 10^1500).
 Every evaluation is a table of Taylor coefficients in e of L(s + e): the
 Euler-Maclaurin sum runs on truncated power series, so one pass gives all
-derivative orders with a bound per order, and values are its row 0.
-Expression values combine the per-factor scaled tables.
+derivative orders with a bound per order, and values are its row 0.  Each
+batch sizes its own sum from the error target: the number of terms N and
+of Bernoulli terms nb are the cheapest pair whose truncation bound at the
+batch's worst point lies below the rounding floor, with N never above
+max(20, 1.2 max|t|).  Expression values combine the per-factor scaled
+tables.
 """
 
 from __future__ import annotations
@@ -49,6 +53,22 @@ _REGION_EPS = 0.1
 _R = 0.5
 # entries per block of the main sum: small batches take few large blocks
 _BLOCK = 1 << 14
+# Euler-Maclaurin sizing (_em_size): the truncation bound must lie below
+# _FLOOR times a rounding floor; B_(2 _NB_MAX + 2) = B_60 is the last
+# tabulated Bernoulli number; N starts at _N_MIN
+_NB_MAX = 29
+_N_MIN = 4
+_FLOOR = 1e-17
+# log(|B_(2 nb + 2)| / (2 nb + 2)! / _FLOOR), indexed by nb
+_LOG_CNEXT = [None] + [
+    math.log(abs(_BFLOAT[2 * nb + 2]) / math.factorial(2 * nb + 2) / _FLOOR)
+    for nb in range(1, _NB_MAX + 1)
+]
+# relative cost of one main-sum entry (point x term), of one Horner step
+# and of one point-order of a Horner step, in seconds on a 2-core Xeon
+_COST_TERM = 4e-8
+_COST_STEP = 3e-5
+_COST_STEP_POINT = 2e-8
 
 
 def _smul(A, B):
@@ -100,6 +120,61 @@ def _tail_series(S, L, n, subtract_pole):
     return T, A
 
 
+def _em_size(sig, smax, tmax, a, lmax, npts):
+    """(N, nb): the cheapest Euler-Maclaurin size whose truncation bound
+    meets the rounding floor at the worst point of a batch.
+
+    sig is the least real part and smax the largest |s| of the batch; the
+    bound is the rmax of _hurwitz_batch taken there, which bounds it at
+    every point.  The floor is _FLOOR times a term whose rounding every
+    order j carries, k = 0, k = 1 or the half term k = N of the sum, each
+    as (k + a)^-sig |log(k + a)|^j / j! times _R^j; a truncation below it
+    is below the rounding bound of every entry.  N stays at most
+    max(20, ceil(1.2 tmax)), so the rounding mass of the main sum never
+    exceeds that of the fixed rule, and nb at most _NB_MAX.
+    """
+    ncap = max(20, math.ceil(1.2 * tmax))
+    # log floors of the k = 0 and k = 1 terms, and the part of the k = N
+    # floor that does not depend on N (log(N + a) >= log(_N_MIN + a))
+    fixed = []
+    for x, lx in ((a, abs(math.log(a))), (1 + a, math.log(1 + a))):
+        h = _least_order_weight(lx, lmax)
+        if h > 0:
+            fixed.append(-sig * math.log(x) + math.log(h))
+    half = math.log(0.5 * _least_order_weight(math.log(_N_MIN + a), lmax))
+    log_cap = math.log(ncap + a)
+    per_term = npts * _COST_TERM
+    per_step = _COST_STEP + npts * (lmax + 1) * _COST_STEP_POINT
+    best, size = math.inf, (ncap, _NB_MAX)
+    log_poch = math.log(smax + _R)
+    for nb in range(1, _NB_MAX + 1):
+        # log of prod_(k <= 2 nb) (smax + _R + k)
+        log_poch += math.log(smax + _R + 2 * nb - 1) + math.log(smax + _R + 2 * nb)
+        if nb * per_step >= best:
+            break
+        lo = sig - _R + 2 * nb + 1
+        if lo <= 0:
+            continue
+        # log rmax - log _FLOOR = K - lo log(N + a); the least log(N + a)
+        # that meets any one of the floors
+        K = _LOG_CNEXT[nb] + log_poch + math.log((smax + _R + 2 * nb + 1) / lo)
+        need = (K - half) / (2 * nb + 1 - _R)
+        for f in fixed:
+            need = min(need, (K - f) / lo)
+        if need > log_cap:
+            continue
+        N = max(_N_MIN, math.ceil(math.exp(need) - a))
+        cost = N * per_term + nb * per_step
+        if cost < best:
+            best, size = cost, (N, nb)
+    return size
+
+
+def _least_order_weight(x, lmax):
+    """min over j <= lmax of (_R x)^j / j!."""
+    return min((_R * x) ** j / math.factorial(j) for j in range(lmax + 1))
+
+
 def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     """Euler-Maclaurin zeta(s + e, a) as a power series in e over an array
     of points.
@@ -111,9 +186,11 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     (-log(k + a))^j e^j / j!; the tail and Bernoulli terms are truncated
     series products.  The dropped remainder is entire in s, so Cauchy's
     estimate bounds its j-th coefficient by its largest value on the circle
-    |e| = _R over _R^j.  With subtract_pole the series is that of
-    zeta(s, a) - 1/(s - 1), entire at s = 1; the character sums that are
-    entire at 1 are built from this variant.
+    |e| = _R over _R^j.  The number of terms N and of Bernoulli terms nb
+    come from the error target (_em_size): the cheapest pair whose a-priori
+    truncation bound lies below the rounding floor.  With subtract_pole the
+    series is that of zeta(s, a) - 1/(s - 1), entire at s = 1; the
+    character sums that are entire at 1 are built from this variant.
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
     if not 0 < a <= 1:
@@ -121,18 +198,16 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     if not subtract_pole and np.any(np.abs(S - 1) < _POLE_GUARD):
         raise PoleAt1("zeta(s, a) requested too close to s = 1")
     n = lmax + 1
-    tmax = float(np.max(np.abs(S.imag)))
-    smin = float(np.min(S.real))
-    N = max(20, int(math.ceil(1.2 * tmax)))
-    nb = min(29, max(10, int(math.ceil((3 - smin + _R) / 2)) + 1))
+    sig, t = S.real, S.imag
+    N, nb = _em_size(float(sig.min()), float(np.abs(S).max()),
+                     float(np.abs(t).max()), a, lmax, S.size)
     logs = np.log(np.arange(N) + a)
     P = np.stack([(-logs) ** j / math.factorial(j) for j in range(n)], axis=1)
     aP = np.abs(P)
-    sig, t = S.real, S.imag
     re = np.zeros((S.size, n))
     im = np.zeros((S.size, n))
     mass = np.zeros((S.size, n))
-    B = max(64, _BLOCK // S.size)
+    B = max(16, _BLOCK // S.size)
     for i0 in range(0, N, B):
         blk = logs[i0 : i0 + B]
         mod = np.exp(-np.multiply.outer(sig, blk))
@@ -146,20 +221,31 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     tail, tail_mass = _tail_series(S, L, n, subtract_pole)
     # 1/2 (N + a)^-(s+e) plus the Bernoulli terms B_2j / (2j)! (s + e)_(2j-1)
     # (N + a)^(-s-e-2j+1), summed as (N + a)^-(s+e) Q(e) by Horner's rule;
-    # row 1 of each stacked pair carries the absolute masses
-    V = S + np.arange(2 * nb + 1)[:, None]
-    aV = np.abs(V)
-    V2 = np.stack([V, aV], axis=1)[:, :, None, :]
+    # AQ carries the absolute masses.  poch_next collects
+    # |s + k| + _R for k = 0 .. 2 nb, the Pochhammer factor of the
+    # truncation bound
+    poch_next = (np.abs(S + 2 * nb) + _R) * (np.abs(S + 2 * nb - 1) + _R)
+    Q = np.zeros((n, S.size), dtype=complex)
+    AQ = np.zeros((n, S.size))
+
+    def times(k):
+        nonlocal Q, AQ
+        v = S + k
+        av = np.abs(v)
+        poch_next[:] *= av + _R
+        Q, AQ = _shift_mul(Q, v), _shift_mul(AQ, av)
+
     cb = [_BFLOAT[2 * j] / math.factorial(2 * j) * (N + a) ** (1 - 2 * j)
           for j in range(1, nb + 1)]
-    H = np.zeros((2, n, S.size), dtype=complex)
-    H[:, 0] = [[cb[-1]], [abs(cb[-1])]]
-    for j in range(nb - 1, 0, -1):
-        H = _shift_mul(_shift_mul(H, V2[2 * j]), V2[2 * j - 1])
-        H[:, 0] += [[cb[j - 1]], [abs(cb[j - 1])]]
-    H = _shift_mul(H, V2[0])
-    H[:, 0] += 0.5
-    Q, AQ = H[0], H[1].real
+    for j in range(nb, 0, -1):
+        if j < nb:
+            times(2 * j)
+            times(2 * j - 1)
+        Q[0] += cb[j - 1]
+        AQ[0] += abs(cb[j - 1])
+    times(0)
+    Q[0] += 0.5
+    AQ[0] += 0.5
     ep = [(-L) ** j / math.factorial(j) for j in range(n)]
     X = np.exp(-S * L)
     C += tail + X * _smul(Q, ep)
@@ -171,7 +257,6 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     # remainder comparison factor, at the worst point of the circle
     # |e| = _R (each |s + e + k| is at most |s + k| + _R)
     lo = sig - _R + 2 * nb + 1
-    poch_next = np.prod(aV + _R, axis=0)
     cnext = abs(_BFLOAT[2 * nb + 2]) / math.factorial(2 * nb + 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         safety = np.where(lo > 0, (np.abs(S) + _R + 2 * nb + 1) / np.maximum(lo, 1e-300), np.inf)
@@ -505,62 +590,76 @@ def _log_fe_smooth(desc, z):
 
 
 def reflected_lvalue(desc, s):
-    """L(1 - s, dual) computed from L(s, pi) through the reflection factor."""
-    C, G, _, _ = _reflected(desc, np.array([s], dtype=complex), 0)
-    return complex(C[0, 0] * np.exp(G[0]))
+    """L(1 - s, dual) computed from L(s, pi) through the reflection factor,
+    at a point or over an array of points."""
+    S = np.asarray(s, dtype=complex)
+    C, G, _, _ = _reflected(desc, S.reshape(-1), 0)
+    out = C[0] * np.exp(G)
+    return complex(out[0]) if S.ndim == 0 else out.reshape(S.shape)
 
 
 def b_factor(s, l, desc: LFunctionDescriptor):
-    """Logarithmic weight attached to the l-th derivative under reflection.
+    """Logarithmic weight attached to the l-th derivative under reflection,
+    at a point or over an array of points.
 
     Equals g(s)^l with g the half-sum of log((s + mu_r)/2) and
     log((1 + s - conj(mu_r))/2) over the spectral parameters; 1 at l = 0.
     """
-    if l == 0:
-        return 1.0 + 0j
-    g = 0j
-    for mu in desc.spectral_params:
-        mub = complex(mu).conjugate()
-        g += cmath.log((s + mu) / 2) + cmath.log((1 + s - mub) / 2)
-    return (0.5 * g) ** l
+    s = np.asarray(s, dtype=complex)
+    g = np.zeros(s.shape, dtype=complex)
+    if l > 0:
+        for mu in desc.spectral_params:
+            mub = complex(mu).conjugate()
+            g += np.log((s + mu) / 2) + np.log((1 + s - mub) / 2)
+    out = (0.5 * g) ** l
+    return complex(out) if s.ndim == 0 else out
 
 
-def check_reflection_region(F, s):
-    """Points where the reflected asymptotic is valid: Re s > 3/2 and at
-    least _REGION_EPS away from every shifted spectral point
+def _reflection_region(F, S):
+    """Mask of the points where the reflected asymptotic is valid: Re s >
+    3/2 and at least _REGION_EPS away from every shifted spectral point
     2n - 1 + conj(mu)."""
-    if s.real <= 1.5:
-        raise RegionViolation(f"Re s = {s.real:.3f} is not > 3/2")
+    ok = S.real > 1.5
     for desc in F.lfuncs.values():
         for mu in desc.spectral_params:
             mub = complex(mu).conjugate()
-            x = ((s - mub).real + 1) / 2
-            for k in (math.floor(x), math.ceil(x)):
-                if abs(s - (2 * k - 1 + mub)) < _REGION_EPS:
-                    raise RegionViolation(
-                        f"s = {s} lies within {_REGION_EPS} of the shifted "
-                        f"spectral point {2 * k - 1 + mub}"
-                    )
+            x = ((S - mub).real + 1) / 2
+            for k in (np.floor(x), np.ceil(x)):
+                ok &= np.abs(S - (2 * k - 1 + mub)) >= _REGION_EPS
+    return ok
 
 
 def asymptotic_fe_main(F, s, profile):
     """Main term of F(1 - s, dual vector) predicted by the reflection formula.
 
     Sums the leading monomials J only; the caller compares against a direct
-    evaluation of F(1 - s, dual) to measure the 1/log s decay.
+    evaluation of F(1 - s, dual) to measure the 1/log s decay.  Takes a
+    point, outside the valid region of which RegionViolation is raised, or
+    an array of points, where such points give nan.
     """
-    s = complex(s)
-    check_reflection_region(F, s)
-    sign = (-1) ** profile.deg_der
-    total = 0j
-    for j in profile.J:
+    S = np.asarray(s, dtype=complex)
+    ok = _reflection_region(F, S.reshape(-1))
+    if S.ndim == 0 and not ok[0]:
+        raise RegionViolation(
+            f"s = {complex(S)} is outside the region of the reflected "
+            f"asymptotic: Re s > 3/2 and {_REGION_EPS} away from every "
+            "shifted spectral point"
+        )
+    V = S.reshape(-1)[ok]
+    refl = {}
+    total = np.zeros(V.shape, dtype=complex)
+    for j in profile.J if V.size else ():
         m = F.monomials[j]
-        term = complex(m.coeff)
+        term = np.full(V.shape, complex(m.coeff))
         per_lfunc = {}
         for fid, l, d in m.factors:
             per_lfunc[fid] = per_lfunc.get(fid, 0) + d
-            term *= b_factor(s, l, F.lfuncs[fid]) ** d
+            term *= b_factor(V, l, F.lfuncs[fid]) ** d
         for fid, dtot in per_lfunc.items():
-            term *= reflected_lvalue(F.lfuncs[fid], s) ** dtot
+            if fid not in refl:
+                refl[fid] = reflected_lvalue(F.lfuncs[fid], V)
+            term *= refl[fid] ** dtot
         total += term
-    return sign * total
+    out = np.full(ok.shape, complex(np.nan, np.nan))
+    out[ok] = (-1) ** profile.deg_der * total
+    return complex(out[0]) if S.ndim == 0 else out.reshape(S.shape)

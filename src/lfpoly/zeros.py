@@ -7,6 +7,7 @@ bounds E1/E2, and banded nontrivial-zero counting.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -19,15 +20,17 @@ from .errors import (
     BoundaryTooClose,
     NonConvergence,
     PhaseUnresolved,
-    RegionViolation,
 )
 from . import expr as _expr
 from .evaluate import (
     asymptotic_fe_main,
     eval_F,
+    eval_F_batch,
     eval_F_scaled_batch,
     eval_F_with_prime,
 )
+
+log = logging.getLogger(__name__)
 
 _MIN_BOUNDARY = 1e-10
 _MIN_SEG = 1e-9
@@ -37,6 +40,12 @@ _REL_TOL = 1e-6  # evaluation target on contours
 _ISOLATION_TOL = 1e-9  # box diameter below which subdivision stops
 _NEWTON_TOL = 1e-10  # evaluation target for Newton steps and residuals
 _NEWTON_ITERS = 60
+_STEP0 = 0.25  # initial spacing of contour samples
+# nudges tried in turn on a rectangle whose contour grazes a zero
+_SHIFTS = (0j, 0.01 + 0.01j, -0.01 + 0.01j, 0.01 - 0.01j, -0.01 - 0.01j,
+           0.007 + 0.013j)
+# initial contour samples per block of bands wound in lockstep
+_BLOCK_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,10 @@ class StripBounds:
     E1method: str  # "scan" or "default"
 
 
-def _boundary_points(loop, step0):
+def _boundary_points(rect, step0):
+    """Counterclockwise samples of rect's boundary about step0 apart,
+    closed by a repeat of the first corner."""
+    loop = list(rect.corners) + [rect.corners[0]]
     pts = []
     for a, b in zip(loop, loop[1:]):
         n = max(2, int(abs(b - a) / step0) + 1)
@@ -118,87 +130,155 @@ def _boundary_points(loop, step0):
     return np.array(pts, dtype=complex)
 
 
-def _winding_eval(F):
+def _winding_eval(F, tally=None):
     """Boundary evaluator: (phase carriers, log magnitudes) per point batch.
 
     F = u exp(g) with g real, so u carries the phase and the magnitude
-    stays finite however far left the contour reaches.
+    stays finite however far left the contour reaches.  A tally dict, if
+    given, counts the points and the calls.
     """
     def ev(pts):
+        if tally is not None:
+            tally["points"] += pts.size
+            tally["rounds"] += 1
         u, g = eval_F_scaled_batch(F, pts, _REL_TOL)
         with np.errstate(divide="ignore"):
             return u, np.log(np.abs(u)) + g
     return ev
 
 
-def _track_winding(ev, pts, vals, lm):
-    """Refine a closed sample loop until phase steps are < pi/2; return turns."""
-    guard = math.log(_MIN_BOUNDARY)
-    while True:
-        # guard against contour samples sitting on a zero, judged against
-        # the local magnitude (the global range spans many orders)
-        local = np.maximum(np.roll(lm, 1), np.roll(lm, -1))
-        if np.any(lm < guard + local):
-            raise BoundaryTooClose(
-                "expression magnitude on the contour drops below the guard"
-            )
-        ph = np.angle(vals)
-        d = np.diff(ph)
-        d = (d + np.pi) % (2 * np.pi) - np.pi
-        bad = np.abs(d) > np.pi / 2
-        if not bad.any():
-            total = float(d.sum())
-            w = total / (2 * np.pi)
-            if abs(w - round(w)) > _SNAP:
-                raise PhaseUnresolved(
-                    f"accumulated phase {w:.3f} turns is not within {_SNAP} "
-                    "of an integer"
-                )
-            return int(round(w)), float(np.max(lm))
-        if pts.size > _MAX_SAMPLES:
+def _phase_step(pts, vals, lm):
+    """One refinement round of a closed sample loop: (turns, None) once
+    every phase step is below pi/2, else (None, indices of the segments to
+    halve).  Raises BoundaryTooClose or PhaseUnresolved."""
+    # guard against contour samples sitting on a zero, judged against
+    # the local magnitude (the global range spans many orders)
+    local = np.maximum(np.roll(lm, 1), np.roll(lm, -1))
+    if np.any(lm < math.log(_MIN_BOUNDARY) + local):
+        raise BoundaryTooClose(
+            "expression magnitude on the contour drops below the guard"
+        )
+    d = np.diff(np.angle(vals))
+    d = (d + np.pi) % (2 * np.pi) - np.pi
+    bad = np.abs(d) > np.pi / 2
+    if not bad.any():
+        w = float(d.sum()) / (2 * np.pi)
+        if abs(w - round(w)) > _SNAP:
             raise PhaseUnresolved(
-                f"needed more than {_MAX_SAMPLES} boundary samples"
+                f"accumulated phase {w:.3f} turns is not within {_SNAP} "
+                "of an integer"
             )
-        idx = np.nonzero(bad)[0]
-        # a phase jump that survives down to tiny segments means a zero
-        # sits on (or hugs) the contour; bisection cannot resolve it
-        if np.any(np.abs(pts[idx + 1] - pts[idx]) < _MIN_SEG):
-            raise BoundaryTooClose(
-                "phase jump unresolved at segment length below "
-                f"{_MIN_SEG}; a zero lies on or next to the contour"
-            )
-        mid = (pts[idx] + pts[idx + 1]) / 2
-        mv, mlm = ev(mid)
-        pts = np.insert(pts, idx + 1, mid)
-        vals = np.insert(vals, idx + 1, mv)
-        lm = np.insert(lm, idx + 1, mlm)
+        return int(round(w)), None
+    if pts.size > _MAX_SAMPLES:
+        raise PhaseUnresolved(
+            f"needed more than {_MAX_SAMPLES} boundary samples"
+        )
+    idx = np.nonzero(bad)[0]
+    # a phase jump that survives down to tiny segments means a zero
+    # sits on (or hugs) the contour; bisection cannot resolve it
+    if np.any(np.abs(pts[idx + 1] - pts[idx]) < _MIN_SEG):
+        raise BoundaryTooClose(
+            "phase jump unresolved at segment length below "
+            f"{_MIN_SEG}; a zero lies on or next to the contour"
+        )
+    return None, idx
 
 
-def winding_count(F, rect: Rectangle, step0=0.25):
+def _track_windings(ev, loops):
+    """Turns around each closed sample loop of the function ev evaluates,
+    all loops in lockstep.
+
+    Each loop is refined at its bad segments until its phase steps are
+    below pi/2, with its own guards and sample budget; the samples of all
+    loops, and then in each round the midpoints of all unfinished loops,
+    go to ev in one call.  Returns one entry per loop: its winding number,
+    or the BoundaryTooClose or PhaseUnresolved that ended it.
+    """
+    def split(parts, arrays):
+        cuts = np.cumsum([p.size for p in parts])[:-1]
+        return zip(*(np.split(x, cuts) for x in arrays))
+
+    out = [None] * len(loops)
+    first = split(loops, ev(np.concatenate(loops)))
+    # loop index -> (samples, phase carriers, log magnitudes)
+    live = {i: (pts, *ev_pts) for i, (pts, ev_pts) in enumerate(zip(loops, first))}
+    while live:
+        halve = {}
+        for i, (pts, vals, lm) in live.items():
+            try:
+                out[i], idx = _phase_step(pts, vals, lm)
+            except (BoundaryTooClose, PhaseUnresolved) as e:
+                out[i] = e
+                continue
+            if idx is not None:
+                halve[i] = idx
+        mids = [(live[i][0][idx] + live[i][0][idx + 1]) / 2 for i, idx in halve.items()]
+        if mids:
+            for (i, idx), mid, new in zip(halve.items(), mids,
+                                          split(mids, ev(np.concatenate(mids)))):
+                live[i] = tuple(np.insert(x, idx + 1, y)
+                                for x, y in zip(live[i], (mid, *new)))
+        live = {i: live[i] for i in halve}
+    return out
+
+
+def _windings(F, rects, step0=_STEP0, tally=None):
+    """_track_windings over the boundaries of rects, one entry per rect."""
+    loops = [_boundary_points(r, step0) for r in rects]
+    return _track_windings(_winding_eval(F, tally), loops)
+
+
+def _first_error(results):
+    """results, unless an entry is an exception: then the first of those
+    is raised."""
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results
+
+
+def winding_count(F, rect: Rectangle, step0=_STEP0):
     """Z - P of F inside rect by boundary phase accumulation.
 
     Counterclockwise boundary, adaptive sample insertion where consecutive
     phase increments exceed pi/2, integer snap within 0.1 turns.
     """
-    loop = list(rect.corners) + [rect.corners[0]]
-    pts = _boundary_points(loop, step0)
-    ev = _winding_eval(F)
-    vals, lm = ev(pts)
-    return _track_winding(ev, pts, vals, lm)[0]
+    return _first_error(_windings(F, [rect], step0))[0]
 
 
-def _winding_jittered(F, rect):
-    """winding_count but the rectangle is nudged when the contour grazes a zero."""
-    shifts = [0j, 0.01 + 0.01j, -0.01 + 0.01j, 0.01 - 0.01j,
-              -0.01 - 0.01j, 0.007 + 0.013j]
-    last = None
-    for dz in shifts:
-        try:
-            r = rect.shifted(dz)
-            return winding_count(F, r), r
-        except BoundaryTooClose as e:
-            last = e
-    raise last
+def _windings_jittered(F, rects, tally=None):
+    """(winding, rectangle used) per rectangle; a rectangle whose contour
+    grazes a zero is nudged through _SHIFTS, and all rectangles still
+    unresolved retry together.  An entry is the exception that ended its
+    rectangle instead: PhaseUnresolved, or the last BoundaryTooClose when
+    no shift helps."""
+    out = [None] * len(rects)
+    todo = list(range(len(rects)))
+    for dz in _SHIFTS:
+        used = [rects[i].shifted(dz) for i in todo]
+        retry = []
+        for i, r, w in zip(todo, used, _windings(F, used, tally=tally)):
+            out[i] = w if isinstance(w, Exception) else (w, r)
+            if isinstance(w, BoundaryTooClose):
+                retry.append(i)
+        if not retry:
+            break
+        todo = retry
+    return out
+
+
+def _wind_block(F, rects):
+    """_windings_jittered over a block of bands, logged as one record."""
+    tally = {"points": 0, "rounds": 0}
+    out = _windings_jittered(F, rects, tally)
+    nudged = sum(1 for r, w in zip(rects, out)
+                 if not isinstance(w, Exception) and w[1] != r)
+    log.debug(
+        "bands %.3f < t < %.3f: %d bands, %d contour points, "
+        "%d evaluation rounds, %d nudged", rects[0].t_lo, rects[-1].t_hi, len(rects),
+        tally["points"], tally["rounds"], nudged,
+    )
+    return out
 
 
 def _newton(F, z0, box):
@@ -227,16 +307,20 @@ def _quadrisect(rect, fx=0.5, fy=0.5):
     ]
 
 
-def locate_zeros(F, rect: Rectangle):
+def locate_zeros(F, rect: Rectangle, wound=None):
     """Zeros of F inside rect, recursively isolated and Newton-polished.
 
     Quadrisection until each box holds winding <= 1 or shrinks below
     _ISOLATION_TOL; winding-1 boxes are polished by Newton with bisection
     fallback; clustered zeros surface as one record with multiplicity.
+    wound is rect's (winding, rectangle used) when already wound, as
+    _windings_jittered gives it.
     """
     p_F = _expr.pole_order(F) if rect.contains(1 + 0j, margin=0.1) else 0
     out = []
-    w, rect = _winding_jittered(F, rect)
+    if wound is None:
+        wound = _first_error(_windings_jittered(F, [rect]))[0]
+    w, rect = wound
     if p_F and rect.contains(1 + 0j):
         w += p_F
     _locate_rec(F, rect, w, p_F, out, 0)
@@ -252,6 +336,17 @@ def locate_zeros(F, rect: Rectangle):
         else:
             merged.append(rec)
     return merged
+
+
+def _locate_block(F, rects):
+    """locate_zeros over a block of bands wound in lockstep: one zero list
+    per band, and the first error in band order raised."""
+    out = []
+    for rect, wound in zip(rects, _wind_block(F, rects)):
+        if isinstance(wound, Exception):
+            raise wound
+        out.append(locate_zeros(F, rect, wound))
+    return out
 
 
 def _locate_rec(F, rect, w, p_F, out, depth):
@@ -272,19 +367,18 @@ def _locate_rec(F, rect, w, p_F, out, depth):
     remaining = w
     fracs = [(0.5, 0.5), (0.513, 0.487), (0.461, 0.533)]
     for i, fr in enumerate(fracs):
+        # the four sub-boxes wind in one call; the first failure in box
+        # order decides, as if they were wound one after another
+        subs = _quadrisect(rect, *fr)
         try:
-            subs = _quadrisect(rect, *fr)
-            ws = []
-            for sub in subs:
-                sw = winding_count(F, sub)
-                if p_F and sub.contains(1 + 0j):
-                    sw += p_F
-                ws.append(sw)
+            ws = _first_error(_windings(F, subs))
             break
         except BoundaryTooClose:
             if i == len(fracs) - 1:
                 raise NonConvergence("no clean subdivision line", box=rect)
     for sub, sw in zip(subs, ws):
+        if p_F and sub.contains(1 + 0j):
+            sw += p_F
         if sw > 0:
             _locate_rec(F, sub, sw, p_F, out, depth + 1)
         remaining -= sw
@@ -298,6 +392,7 @@ def _locate_rec(F, rect, w, p_F, out, depth):
 
 _E2_FLOOR = 3.0
 _TAIL_N = 1000
+_SCAN_CHUNK = 16  # heights per evaluation of the E1 scan
 
 
 def zero_free_bounds(F, profile=None) -> StripBounds:
@@ -344,17 +439,20 @@ def zero_free_bounds(F, profile=None) -> StripBounds:
 
 
 def _scan_line_dominates(F, Fd, profile, sigma, tgrid):
-    """True if the main term dominates at every valid height of the line;
-    stops at the first height where it does not."""
+    """True if the main term dominates at every valid height of the line.
+
+    Heights go _SCAN_CHUNK at a time, one evaluation each, and the scan
+    stops with the chunk that holds the first height where it does not.
+    """
     checked = False
-    for t in tgrid:
-        s = complex(1 - sigma, t)
-        try:
-            main = asymptotic_fe_main(F, s, profile)
-        except RegionViolation:
+    for i in range(0, len(tgrid), _SCAN_CHUNK):
+        s = (1 - sigma) + 1j * tgrid[i : i + _SCAN_CHUNK]
+        main = asymptotic_fe_main(F, s, profile)
+        ok = ~np.isnan(main)
+        if not ok.any():
             continue
-        direct = eval_F(Fd, 1 - s, rel_tol=1e-6)
-        if not abs(direct - main) < abs(main) / 2:
+        direct, _ = eval_F_batch(Fd, 1 - s[ok], rel_tol=1e-6)
+        if not np.all(np.abs(direct - main[ok]) < np.abs(main[ok]) / 2):
             return False
         checked = True
     return checked
@@ -393,39 +491,54 @@ def _band_edges(T1, T2, seed):
 
 
 def _map_bands(T1, T2, strip, fn, parallelism, seed):
-    """fn applied to each unit band [E1, E2] x [a, b] of the window
-    (T1, T2), on up to parallelism threads; results in band order, so they
-    do not depend on scheduling."""
+    """fn applied to blocks of consecutive unit bands [E1, E2] x [a, b] of
+    the window (T1, T2), on up to parallelism threads; one result per band,
+    in band order.
+
+    fn takes a list of bands and returns one result per band.  A block
+    holds the bands whose initial contour samples fit in _BLOCK_POINTS, at
+    least one, so the blocks and the results do not depend on parallelism
+    or scheduling.
+    """
     if T2 > MAX_HEIGHT:
         raise ValueError(f"height {T2} exceeds the desk-scale cap {MAX_HEIGHT}")
     if not T2 > T1 >= 0:
         raise ValueError("need 0 <= T1 < T2")
     edges = _band_edges(T1, T2, seed)
-    rects = [
-        Rectangle(strip.E1, strip.E2, a, b) for a, b in zip(edges, edges[1:])
-    ]
+    blocks, size = [], _BLOCK_POINTS
+    for a, b in zip(edges, edges[1:]):
+        r = Rectangle(strip.E1, strip.E2, a, b)
+        n = 2 * (r.sigma_hi - r.sigma_lo + r.t_hi - r.t_lo) / _STEP0
+        if size + n > _BLOCK_POINTS:
+            blocks.append([])
+            size = 0
+        blocks[-1].append(r)
+        size += n
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as ex:
-            return list(ex.map(fn, rects))
-    return [fn(r) for r in rects]
+            done = list(ex.map(fn, blocks))
+    else:
+        done = [fn(b) for b in blocks]
+    return [x for block in done for x in block]
 
 
 def count_nontrivial(F, T1, T2, strip=None, profile=None, parallelism=1,
                      seed=0):
     """Number of zeros of F with E1 <= sigma <= E2 and T1' < t < T2.
 
-    Unit-height winding bands with seeded edge jitter, summed in band
-    order so the result is independent of scheduling.
+    Unit-height winding bands with seeded edge jitter, wound in lockstep
+    blocks and summed in band order so the result is independent of
+    scheduling.  When bands fail, the error of the first is raised.
     """
     if profile is None:
         profile = _expr.degree_profile(F)
     if strip is None:
         strip = zero_free_bounds(F, profile)
 
-    def run_band(rect):
-        w, used = _winding_jittered(F, rect)
-        return BandReport(used.t_lo, used.t_hi, w)
+    def run_block(rects):
+        return [BandReport(used.t_lo, used.t_hi, w)
+                for w, used in _first_error(_wind_block(F, rects))]
 
-    bands = _map_bands(T1, T2, strip, run_band, parallelism, seed)
+    bands = _map_bands(T1, T2, strip, run_block, parallelism, seed)
     total = sum(b.count for b in bands)
     return CountResult(total=total, bands=bands, strip=strip)

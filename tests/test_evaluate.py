@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lfpoly import characters as chars
 from lfpoly import evaluate as ev
@@ -266,6 +266,41 @@ def test_taylor_bounds_honest(name, sigma, t, flip):
             # the reference in the table's own scale exp(G) / l!
             want = complex(mp.mpc(ref) * mp.exp(-G[0]) / math.factorial(l))
             assert abs(C[l, 0] - want) <= trunc[l, 0] + rnd[l, 0], (s, l)
+
+
+# the Euler-Maclaurin size comes from the error target: N never exceeds the
+# fixed rule max(20, ceil(1.2 t)), nb never needs past B_60, and every
+# truncation bound lies below its rounding bound, over batches of two
+# points reaching far right of the strip and up to t = 2000
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    sigma=st.one_of(st.floats(-2.0, 4.0), st.floats(3.0, 300.0)),
+    t=st.floats(0.0, 2000.0),
+    dsigma=st.floats(0.0, 3.0),
+    tfrac=st.floats(0.0, 1.0),
+    a=st.sampled_from([1.0, 0.25, 0.75, 1 / 3, 2 / 3]),
+    lmax=st.integers(0, 3),
+)
+def test_em_size_from_target(sigma, t, dsigma, tfrac, a, lmax):
+    S = np.array([complex(sigma, t), complex(sigma + dsigma, -t * tfrac)])
+    assume(np.abs(S - 1).min() > 1e-3)
+    N, nb = ev._em_size(sigma, float(np.abs(S).max()), t, a, lmax, S.size)
+    assert N <= max(20, math.ceil(1.2 * t)) and nb <= 29
+    _, trunc, rnd = ev._hurwitz_batch(S, a, lmax)
+    assert (trunc <= rnd).all()
+
+
+# the bounds stay honest above the heights of test_taylor_bounds_honest
+@pytest.mark.parametrize("s, a", [
+    (0.5 + 1999.5j, 1.0), (-1.5 + 702.0j, 0.25), (3.5 - 1250.0j, 2 / 3),
+    (40.0 + 333.0j, 0.75),
+])
+def test_em_bounds_high(s, a):
+    C, trunc, rnd = ev._hurwitz_batch(np.array([s]), a, 3)
+    with mp.workdps(30):
+        for l in range(4):
+            ref = mp.zeta(mp.mpc(s), mp.mpf(a), derivative=l) / math.factorial(l)
+            assert abs(C[l, 0] - complex(ref)) <= trunc[l, 0] + rnd[l, 0], l
 
 
 # --- functional-equation pieces -------------------------------------------

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import mpmath as mp
@@ -43,8 +44,43 @@ def test_boundary_through_zero_raises(zeta_expr):
     with pytest.raises(BoundaryTooClose):
         Z.winding_count(rect=rect, F=zeta_expr, step0=g1 - 14.0)
     # the jittered variant recovers
-    w, _ = Z._winding_jittered(zeta_expr, rect)
+    [(w, _)] = Z._windings_jittered(zeta_expr, [rect])
     assert w in (0, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lockstep_matches_single_loops(k):
+    # one lockstep call over several loops gives each loop what its own
+    # winding gives, and the loop through a zero fails alone; the coarse
+    # first samples make several loops refine in the same rounds
+    F = zpoly((1.0, [(0, k)]))
+    g1 = float(mp.im(mp.zetazero(1)))
+    cases = [
+        (Z.Rectangle(0.2, 0.8, 14.0, 14.3), 1.0, k),  # zero
+        (Z.Rectangle(0.7, 1.3, -0.3, 0.3), 1.0, -k),  # pole
+        (Z.Rectangle(0.5, 1.5, 14.0, g1), g1 - 14.0, BoundaryTooClose),
+        (Z.Rectangle(0.1, 0.9, 15.0, 20.0), 1.0, 0),  # empty
+        (Z.Rectangle(-0.5, 1.5, 10.0, 30.0), 1.0, 3 * k),  # three zeros
+    ]
+    loops = [Z._boundary_points(r, step) for r, step, _ in cases]
+    got = Z._track_windings(Z._winding_eval(F), loops)
+    for (rect, step, want), g in zip(cases, got):
+        if want is BoundaryTooClose:
+            assert isinstance(g, BoundaryTooClose)
+            with pytest.raises(BoundaryTooClose):
+                Z.winding_count(F, rect, step)
+        else:
+            assert g == want == Z.winding_count(F, rect, step)
+
+
+def test_band_blocks_logged(zeta_expr, caplog):
+    # one DEBUG record per block of bands wound in lockstep
+    with caplog.at_level(logging.DEBUG, logger="lfpoly.zeros"):
+        res = Z.count_nontrivial(zeta_expr, 0, 60)
+    recs = [r for r in caplog.records if r.name == "lfpoly.zeros"]
+    assert 1 < len(recs) < len(res.bands)
+    assert sum(r.args[2] for r in recs) == len(res.bands)
+    assert all(r.args[3] > 0 and r.args[4] >= 1 for r in recs)
 
 
 def test_locate_first_three_zeros(zeta_expr):
@@ -95,18 +131,35 @@ def test_strip_bounds_invariants(zeta_expr, zeta_prime):
 @pytest.mark.parametrize("k", [1, 2])
 def test_e1_scan_stops_at_first_failure(k, monkeypatch):
     # the factor-2 dominance fails on every line from sigma = -1 to -10 for
-    # zeta' and zeta''; each line is given up at its first failing height
+    # zeta' and zeta''; each line is given up with the chunk of heights
+    # that holds its first failing height, the first chunk on every line
     calls = []
-    real = Z.eval_F
+    real = Z.eval_F_batch
 
     def counted(*args, **kw):
-        calls.append(args[1])
+        calls.append(len(args[1]))
         return real(*args, **kw)
 
-    monkeypatch.setattr(Z, "eval_F", counted)
+    monkeypatch.setattr(Z, "eval_F_batch", counted)
     sb = Z.zero_free_bounds(zpoly((1.0, [(k, 1)])))
     assert (sb.E1, sb.E1method) == (-10.0, "default")
-    assert len(calls) < 100
+    assert calls == [Z._SCAN_CHUNK] * 10
+
+
+def test_e1_scan_zeta_checks_every_height(zeta_expr, monkeypatch):
+    # for zeta the main term dominates at every height of sigma = -1, so
+    # the scan evaluates the whole line, chunk by chunk, and stops there
+    calls = []
+    real = Z.eval_F_batch
+
+    def counted(*args, **kw):
+        calls.append(len(args[1]))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(Z, "eval_F_batch", counted)
+    sb = Z.zero_free_bounds(zeta_expr)
+    assert (sb.E1, sb.E1method, sb.E2) == (-1.0, "scan", 3.0)
+    assert sum(calls) == 481 and max(calls) == Z._SCAN_CHUNK
 
 
 def test_strip_zeta_prime_left_edge(zeta_prime):
@@ -125,7 +178,7 @@ def test_deep_winding_scaled_path(zeta_prime):
     # zero has migrated inside by n = 150 (oracle-checked at shallow n)
     c = -300.0
     rect = Z.Rectangle(c - 0.25, c + 0.25, -0.25, 0.25)
-    w, _ = Z._winding_jittered(zeta_prime, rect)
+    [(w, _)] = Z._windings_jittered(zeta_prime, [rect])
     assert w == 1
 
 
