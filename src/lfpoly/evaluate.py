@@ -14,8 +14,11 @@ derivative orders with a bound per order, and values are its row 0.  Each
 batch sizes its own sum from the error target: the number of terms N and
 of Bernoulli terms nb are the cheapest pair whose truncation bound at the
 batch's worst point lies below the rounding floor, with N never above
-max(20, 1.2 max|t|).  Expression values combine the per-factor scaled
-tables.
+max(20, 1.2 max|t|).  The main sum of a large batch takes exp, cos and
+sin once per distinct abscissa and height, which contour batches repeat.
+The reflection factor's log Gamma and digamma are Stirling's series after
+a shift to Re >= 8 (_loggamma, _digamma), so numpy is the only dependency.
+Expression values combine the per-factor scaled tables.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import loggamma, psi
 
 from .constants import BERNOULLI, MIN_TARGET_ERR
 from .descriptors import (
@@ -69,6 +71,11 @@ _LOG_CNEXT = [None] + [
 _COST_TERM = 4e-8
 _COST_STEP = 3e-5
 _COST_STEP_POINT = 2e-8
+# _loggamma and _digamma shift their argument to real part at least
+# _GAMMA_SHIFT and sum Stirling's series there with B_2 .. B_20, kept as
+# B_2k / 2k
+_GAMMA_SHIFT = 8
+_STIRLING = [_BFLOAT[2 * k] / (2 * k) for k in range(1, 11)]
 
 
 def _smul(A, B):
@@ -188,9 +195,14 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     estimate bounds its j-th coefficient by its largest value on the circle
     |e| = _R over _R^j.  The number of terms N and of Bernoulli terms nb
     come from the error target (_em_size): the cheapest pair whose a-priori
-    truncation bound lies below the rounding floor.  With subtract_pole the
-    series is that of zeta(s, a) - 1/(s - 1), entire at s = 1; the
-    character sums that are entire at 1 are built from this variant.
+    truncation bound lies below the rounding floor.  A main sum of at
+    least _BLOCK entries takes exp(-sigma log k) once per distinct sigma
+    and cos, sin(t log k) once per distinct t of the batch and gathers
+    them per point, so every entry is the double a point-by-point sum
+    would give; below that the sorting costs more than it saves.  With
+    subtract_pole the series is that of zeta(s, a) - 1/(s - 1), entire at
+    s = 1; the character sums that are entire at 1 are built from this
+    variant.
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
     if not 0 < a <= 1:
@@ -207,13 +219,18 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     re = np.zeros((S.size, n))
     im = np.zeros((S.size, n))
     mass = np.zeros((S.size, n))
+    if S.size * N >= _BLOCK:
+        usig, isig = np.unique(sig, return_inverse=True)
+        ut, it = np.unique(t, return_inverse=True)
+    else:
+        usig, isig, ut, it = sig, slice(None), t, slice(None)
     B = max(16, _BLOCK // S.size)
     for i0 in range(0, N, B):
         blk = logs[i0 : i0 + B]
-        mod = np.exp(-np.multiply.outer(sig, blk))
-        ph = np.multiply.outer(t, blk)
-        re += (mod * np.cos(ph)) @ P[i0 : i0 + B]
-        im -= (mod * np.sin(ph)) @ P[i0 : i0 + B]
+        mod = np.exp(-np.multiply.outer(usig, blk))[isig]
+        ph = np.multiply.outer(ut, blk)
+        re += (mod * np.cos(ph)[it]) @ P[i0 : i0 + B]
+        im -= (mod * np.sin(ph)[it]) @ P[i0 : i0 + B]
         mass += mod @ aP[i0 : i0 + B]
     C = (re + 1j * im).T
     mass = mass.T
@@ -364,17 +381,73 @@ def _hurwitz_int(j, z):
     return out
 
 
+def _gamma_shift(z):
+    """(z, w, m): z as a complex array and w = z + m, with m >= 0 the least
+    integer that makes Re w >= _GAMMA_SHIFT.  Raises ValueError unless
+    Re z > 0, the half-plane where log Gamma has its principal branch."""
+    z = np.asarray(z, dtype=complex)
+    if not np.all(z.real > 0):
+        raise ValueError("log Gamma and digamma are evaluated only for Re z > 0")
+    m = np.maximum(np.ceil(_GAMMA_SHIFT - z.real), 0)
+    return z, z + m, m
+
+
+def _loggamma(z):
+    """Principal log Gamma(z) over an array with Re z > 0: the branch that is
+    real on the positive axis and continuous in the half-plane.
+
+    log Gamma(z) = log Gamma(w) - sum_(k < m) log(z + k) with w = z + m
+    (_gamma_shift) and principal logarithms; log Gamma(w) is Stirling's
+    series (w - 1/2) log w - w + log(2 pi) / 2 + sum_(k <= 10) B_2k /
+    (2k (2k - 1) w^(2k - 1)).  Its remainder is below |B_22| / (22 21
+    |w|^21) sec^22(arg w / 2) (DLMF 5.11(ii)).  At fixed Re w the sec
+    factor grows no faster than |w|^21 does, so the bound is largest on
+    the real axis: at most 1.5e-18 for Re w >= 8.
+    """
+    z, w, m = _gamma_shift(z)
+    r2 = 1 / (w * w)
+    ser = 0
+    for k in range(len(_STIRLING), 0, -1):
+        ser = ser * r2 + _STIRLING[k - 1] / (2 * k - 1)
+    out = (w - 0.5) * np.log(w) - w + 0.5 * math.log(2 * math.pi) + ser / w
+    for k in range(int(m.max(initial=0))):
+        out -= np.where(k < m, np.log(z + k), 0)
+    return out
+
+
+def _digamma(z):
+    """psi(z) = Gamma'(z) / Gamma(z) over an array with Re z > 0.
+
+    psi(z) = psi(w) - sum_(k < m) 1 / (z + k) with w = z + m
+    (_gamma_shift), and psi(w) = log w - 1 / (2w) - sum_(k <= 10) B_2k /
+    (2k w^2k).  The remainder is the derivative of log Gamma's,
+    -int_0^inf (B_22 - B~_22(x)) / (x + w)^23 dx with B~ the periodic
+    Bernoulli function; |B_22 - B~_22| <= 2 |B_22| and |x + w| >= (x + |w|)
+    cos(arg w / 2) bound it by |B_22| / (11 |w|^22) sec^23(arg w / 2), at
+    most 7.7e-18 for Re w >= 8 by the same argument as for log Gamma.
+    """
+    z, w, m = _gamma_shift(z)
+    r2 = 1 / (w * w)
+    ser = 0
+    for b in reversed(_STIRLING):
+        ser = ser * r2 + b
+    out = np.log(w) - 0.5 / w - ser * r2
+    for k in range(int(m.max(initial=0))):
+        out -= np.where(k < m, 1 / (z + k), 0)
+    return out
+
+
 def _fe_series(desc, W, n):
     """(Phi, mass, G): Phi(W - e) = exp(G) sum_j Phi[j] e^j for the factor
     of log_fe_factor, with mass[j] >= |Phi[j]| the absolute mass that the
     rounding of Phi[j] scales with.
 
     Phi is exp of a smooth part times cosines.  The smooth part's Taylor
-    coefficients are loggamma, psi and, for j >= 2, (1/2)^j zeta(j, z) / j
-    at each Gamma argument z; they are exponentiated as a series.  Each
-    cosine is expanded directly, cos(a - x) = cos a cos x + sin a sin x,
-    scaled by exp(-|Im a|), so a zero of Phi (a trivial zero of the dual)
-    costs nothing.  Needs Re W > 3.
+    coefficients are _loggamma, _digamma and, for j >= 2, (1/2)^j
+    zeta(j, z) / j at each Gamma argument z; they are exponentiated as a
+    series.  Each cosine is expanded directly, cos(a - x) = cos a cos x +
+    sin a sin x, scaled by exp(-|Im a|), so a zero of Phi (a trivial zero
+    of the dual) costs nothing.  Needs Re W > 3.
     """
     # lam[j]: Taylor coefficients in e of the smooth part of log Phi(W - e)
     lam = np.zeros((n, W.size), dtype=complex)
@@ -387,7 +460,7 @@ def _fe_series(desc, W, n):
         mub = complex(mu).conjugate()
         for z in ((W + mu) / 2, (1 + W - mub) / 2):
             if n > 1:
-                lam[1] -= 0.5 * psi(z)
+                lam[1] -= 0.5 * _digamma(z)
             for j in range(2, n):
                 lam[j] += 0.5**j / j * _hurwitz_int(j, z)
         a = math.pi * (W - mub) / 2
@@ -418,8 +491,8 @@ def _reflected(desc, W, lmax):
     C, trunc, rnd = _direct_batch(desc, W, lmax)
     C = C * ((-1.0) ** np.arange(n))[:, None]
     Phi, mass, G = _fe_series(desc, W, n)
-    # loggamma, psi and the phase exp(i Im log Phi) carry a relative error
-    # that grows with |log Phi| ~ |W log W|
+    # _loggamma, _digamma and the phase exp(i Im log Phi) carry a relative
+    # error that grows with |log Phi| ~ |W log W|
     rel = 1e-13 * (1 + np.abs(W))
     return (_smul(Phi, C), G, _smul(mass, trunc),
             _smul(mass, rnd) + rel * _smul(mass, np.abs(C)))
@@ -568,7 +641,7 @@ def log_fe_factor(desc: LFunctionDescriptor, s):
     """log of the factor Phi with L(1 - s, dual) = Phi(s) L(s, pi).
 
     Takes a point or an array of points.  Assembled in log space from
-    loggamma and a shifted log-cosine so the pieces stay finite at heights
+    _loggamma and a shifted log-cosine so the pieces stay finite at heights
     where each factor alone overflows.
     """
     z = np.atleast_1d(np.asarray(s, dtype=complex))
@@ -585,7 +658,7 @@ def _log_fe_smooth(desc, z):
     out = -cmath.log(desc.root_number) + (z - 0.5) * math.log(desc.conductor)
     out += (-m / 2 - m * z) * math.log(math.pi)
     for mu in desc.spectral_params:
-        out += loggamma((z + mu) / 2) + loggamma((1 + z - complex(mu).conjugate()) / 2)
+        out += _loggamma((z + mu) / 2) + _loggamma((1 + z - complex(mu).conjugate()) / 2)
     return out
 
 

@@ -153,7 +153,8 @@ def _phase_step(pts, vals, lm):
     halve).  Raises BoundaryTooClose or PhaseUnresolved."""
     # guard against contour samples sitting on a zero, judged against
     # the local magnitude (the global range spans many orders)
-    local = np.maximum(np.roll(lm, 1), np.roll(lm, -1))
+    ring = np.concatenate((lm[-1:], lm, lm[:1]))
+    local = np.maximum(ring[:-2], ring[2:])
     if np.any(lm < math.log(_MIN_BOUNDARY) + local):
         raise BoundaryTooClose(
             "expression magnitude on the contour drops below the guard"

@@ -1,5 +1,8 @@
 import importlib.resources as res
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -205,3 +208,20 @@ def test_audit_mismatch_exit_code(zeta_prime_file, tmp_path):
         ["audit", zeta_prime_file, "-o", out, "--n-start", "3",
          "--n-count", "2"]
     ) == 1
+
+
+# start-up cost: a fresh process that loads and profiles an expression, as
+# every CLI command does first, imports numpy and nothing heavier
+def test_startup_without_scipy(zeta_file):
+    code = (
+        "import sys\n"
+        "import lfpoly, lfpoly.cli\n"
+        "from lfpoly import expr, exprfile\n"
+        "expr.degree_profile(exprfile.load(sys.argv[1]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(lfpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, zeta_file], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from lfpoly import characters as chars
 from lfpoly import evaluate as ev
+from lfpoly import zeros as Z
+from lfpoly.constants import BERNOULLI
 from lfpoly.descriptors import dirichlet_descriptor, zeta_descriptor
 from lfpoly.errors import (
     AccuracyUnreachable,
@@ -303,6 +305,30 @@ def test_em_bounds_high(s, a):
             assert abs(C[l, 0] - complex(ref)) <= trunc[l, 0] + rnd[l, 0], l
 
 
+# a real winding batch: the contours of three adjacent zeta bands near
+# t = 1900 share their abscissae and, edge by edge, their heights, which the
+# main sum evaluates once each; every entry must match a one-point call and,
+# at a few points, mpmath
+@pytest.mark.parametrize("lmax", [0, 2])
+def test_em_contour_batch(lmax):
+    edges = Z._band_edges(1899.5, 1903.0, 0)[:4]
+    S = np.concatenate([
+        Z._boundary_points(Z.Rectangle(-1.0, 3.0, lo, hi), Z._STEP0)
+        for lo, hi in zip(edges, edges[1:])
+    ])
+    assert np.unique(S.imag).size < S.size / 2
+    C, trunc, rnd = ev._hurwitz_batch(S, 1.0, lmax)
+    for i, s in enumerate(S):
+        C1, trunc1, rnd1 = ev._hurwitz_batch(np.array([s]), 1.0, lmax)
+        tol = trunc[:, i] + rnd[:, i] + trunc1[:, 0] + rnd1[:, 0]
+        assert (np.abs(C[:, i] - C1[:, 0]) <= tol).all(), s
+    with mp.workdps(30):
+        for i in np.linspace(0, S.size - 1, 4).astype(int):
+            for l in range(lmax + 1):
+                ref = mp.zeta(mp.mpc(S[i]), 1, derivative=l) / math.factorial(l)
+                assert abs(C[l, i] - complex(ref)) <= trunc[l, i] + rnd[l, i], (S[i], l)
+
+
 # --- functional-equation pieces -------------------------------------------
 
 def test_b_factor_power_example():
@@ -348,3 +374,77 @@ def test_asymptotic_fe_region_guard():
     profile = E.degree_profile(F)
     with pytest.raises(RegionViolation):
         ev.asymptotic_fe_main(F, 1.2 + 0j, profile)
+
+
+# log Gamma and digamma against mpmath: within the stated Stirling bound
+# plus a rounding term of a few ulps of the pieces summed, on the branch
+# fixed by log Gamma(z + 1) = log Gamma(z) + log z, and only for Re z > 0
+_B22 = abs(float(BERNOULLI[22]))
+
+
+def _gamma_rounding(z):
+    """(log Gamma, digamma) rounding terms: 4 ulps of every piece summed at
+    w = z + m and of every shift term."""
+    m = max(0, math.ceil(ev._GAMMA_SHIFT - z.real))
+    w = z + m
+    eps = 4 * 2.0**-52
+    lg = eps * (abs(w * cmath.log(w)) + abs(w) + 1
+                + sum(abs(cmath.log(z + k)) for k in range(m)))
+    dg = eps * (abs(cmath.log(w)) + 1 + sum(1 / abs(z + k) for k in range(m)))
+    return w, lg, dg
+
+
+def _stirling_bounds(w):
+    """The docstring bounds of _loggamma and _digamma at w."""
+    sec2 = 2 / (1 + math.cos(math.atan2(w.imag, w.real)))
+    return (_B22 / (22 * 21 * abs(w) ** 21) * sec2**11,
+            _B22 / (11 * abs(w) ** 22) * sec2**11.5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    x=st.one_of(st.floats(0.05, 8.0, exclude_min=True), st.floats(8.0, 200.0)),
+    y=st.one_of(st.floats(-5.0, 5.0), st.floats(-5000.0, 5000.0)),
+)
+@example(x=0.05 + 1e-12, y=0.0)
+@example(x=0.5, y=0.0)
+@example(x=7.99, y=-4999.0)
+@example(x=200.0, y=5000.0)
+def test_loggamma_digamma_oracle(x, y):
+    z = complex(x, y)
+    w, rl, rd = _gamma_rounding(z)
+    bl, bd = _stirling_bounds(w)
+    # the docstring maxima over Re w >= 8
+    assert bl <= 1.5e-18 and bd <= 7.7e-18
+    with mp.workdps(30):
+        lg = complex(mp.loggamma(mp.mpc(z)))
+        dg = complex(mp.digamma(mp.mpc(z)))
+    assert abs(ev._loggamma(z) - lg) <= 1.5e-18 + rl, z
+    assert abs(ev._digamma(z) - dg) <= 7.7e-18 + rd, z
+    step = ev._loggamma(z + 1) - ev._loggamma(z) - cmath.log(z)
+    assert abs(step) <= 2 * (_gamma_rounding(z + 1)[1] + rl), z
+
+
+# shifted only to Re w >= 4 the Stirling remainder (3e-12 on the real axis)
+# stands above the rounding, so the bound itself and every Bernoulli term
+# in it are checked
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=st.floats(0.05, 6.0, exclude_min=True), y=st.floats(-4.0, 4.0))
+@example(x=0.5, y=0.0)
+@example(x=3.9, y=0.0)
+@example(x=0.7, y=0.3)
+def test_stirling_bound_low_shift(x, y):
+    z = complex(x, y)
+    with pytest.MonkeyPatch.context() as mpatch, mp.workdps(30):
+        mpatch.setattr(ev, "_GAMMA_SHIFT", 4)
+        w, rl, rd = _gamma_rounding(z)
+        bl, bd = _stirling_bounds(w)
+        assert abs(ev._loggamma(z) - complex(mp.loggamma(mp.mpc(z)))) <= bl + rl, z
+        assert abs(ev._digamma(z) - complex(mp.digamma(mp.mpc(z)))) <= bd + rd, z
+
+
+@pytest.mark.parametrize("z", [0.0, -0.5 + 3j, -1e-300 - 100j, complex("nan")])
+def test_loggamma_digamma_domain(z):
+    for f in (ev._loggamma, ev._digamma):
+        with pytest.raises(ValueError):
+            f(np.array([1.0, z]))
