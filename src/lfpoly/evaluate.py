@@ -15,7 +15,9 @@ batch sizes its own sum from the error target: the number of terms N and
 of Bernoulli terms nb are the cheapest pair whose truncation bound at the
 batch's worst point lies below the rounding floor, with N never above
 max(20, 1.2 max|t|).  The main sum of a large batch takes exp, cos and
-sin once per distinct abscissa and height, which contour batches repeat.
+sin once per distinct abscissa and height, which contour batches repeat,
+and sums in row chunks of points, so its temporaries do not grow with the
+batch.
 The reflection factor's log Gamma and digamma are Stirling's series after
 a shift to Re >= 8 (_loggamma, _digamma), so numpy is the only dependency.
 Expression values combine the per-factor scaled tables.
@@ -53,7 +55,8 @@ _REGION_EPS = 0.1
 # radius of the circle on which Cauchy's estimate bounds the truncation
 # error of every Taylor coefficient
 _R = 0.5
-# entries per block of the main sum: small batches take few large blocks
+# entries per row chunk of a column block of the main sum: small batches
+# take few large blocks, large ones blocks of 16 terms in chunks of points
 _BLOCK = 1 << 14
 # Euler-Maclaurin sizing (_em_size): the truncation bound must lie below
 # _FLOOR times a rounding floor; B_(2 _NB_MAX + 2) = B_60 is the last
@@ -199,7 +202,11 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     least _BLOCK entries takes exp(-sigma log k) once per distinct sigma
     and cos, sin(t log k) once per distinct t of the batch and gathers
     them per point, so every entry is the double a point-by-point sum
-    would give; below that the sorting costs more than it saves.  With
+    would give; below that the sorting costs more than it saves.  The sum
+    runs over column blocks of B terms and, within each, row chunks of at
+    most _BLOCK // B points, so no per-point temporary holds more than
+    _BLOCK entries however large the batch; the tables over distinct
+    values are built once per column block for all chunks.  With
     subtract_pole the series is that of zeta(s, a) - 1/(s - 1), entire at
     s = 1; the character sums that are entire at 1 are built from this
     variant.
@@ -219,19 +226,29 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     re = np.zeros((S.size, n))
     im = np.zeros((S.size, n))
     mass = np.zeros((S.size, n))
+    # B terms per column block, R points per row chunk: B R <= _BLOCK; each
+    # chunk is (its rows, their rows of the sigma table, of the t table)
+    B = max(16, _BLOCK // S.size)
+    R = _BLOCK // B
+    chunks = [slice(r0, r0 + R) for r0 in range(0, S.size, R)]
     if S.size * N >= _BLOCK:
         usig, isig = np.unique(sig, return_inverse=True)
         ut, it = np.unique(t, return_inverse=True)
+        chunks = [(rows, isig[rows], it[rows]) for rows in chunks]
     else:
-        usig, isig, ut, it = sig, slice(None), t, slice(None)
-    B = max(16, _BLOCK // S.size)
+        usig, ut = sig, t
+        chunks = [(rows, rows, rows) for rows in chunks]
     for i0 in range(0, N, B):
         blk = logs[i0 : i0 + B]
-        mod = np.exp(-np.multiply.outer(usig, blk))[isig]
+        emod = np.exp(-np.multiply.outer(usig, blk))
         ph = np.multiply.outer(ut, blk)
-        re += (mod * np.cos(ph)[it]) @ P[i0 : i0 + B]
-        im -= (mod * np.sin(ph)[it]) @ P[i0 : i0 + B]
-        mass += mod @ aP[i0 : i0 + B]
+        cos, sin = np.cos(ph), np.sin(ph)
+        Pb, aPb = P[i0 : i0 + B], aP[i0 : i0 + B]
+        for rows, js, jt in chunks:
+            mod = emod[js]
+            re[rows] += (mod * cos[jt]) @ Pb
+            im[rows] -= (mod * sin[jt]) @ Pb
+            mass[rows] += mod @ aPb
     C = (re + 1j * im).T
     mass = mass.T
     L = math.log(N + a)
@@ -534,16 +551,17 @@ def lfunc_derivatives_scaled(desc, S, lmax, rel_tol=1e-9):
 
     D has shape (lmax + 1, len(S)) and row l is l! times the Taylor
     coefficient of order l, all from one Euler-Maclaurin pass.  rel_tol
-    gates the truncation bound: AccuracyUnreachable is raised where it
-    exceeds rel_tol times the largest |D[l]| of the batch plus the rounding
-    bound of the same entry.  A purely relative gate would fail at zeros of
-    L, where the value is all rounding.
+    gates the truncation bound entry by entry: AccuracyUnreachable is raised
+    where it exceeds rel_tol times the entry's own magnitude plus its
+    rounding bound, so a point passes or fails whatever batch it comes in.
+    A purely relative gate would fail at zeros of L, where the value is all
+    rounding.
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
     if desc.pole_order > 0 and np.any(np.abs(S - 1) < 1e-6):
         raise PoleTooClose("derivative table requested within 1e-6 of the pole at s = 1")
     C, G, trunc, rnd = _lfunc_taylor(desc, S, lmax)
-    bad = trunc > rel_tol * np.abs(C).max(axis=1, keepdims=True) + rnd
+    bad = trunc > rel_tol * np.abs(C) + rnd
     if bad.any():
         l, i = (int(x[0]) for x in np.nonzero(bad))
         raise AccuracyUnreachable(

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from lfpoly import characters as chars
 from lfpoly import evaluate as ev
 from lfpoly import zeros as Z
-from lfpoly.constants import BERNOULLI
+from lfpoly.constants import BERNOULLI, _bernoulli_numbers
 from lfpoly.descriptors import dirichlet_descriptor, zeta_descriptor
 from lfpoly.errors import (
     AccuracyUnreachable,
@@ -21,6 +22,17 @@ from lfpoly.errors import (
 from conftest import ZETA, build, zpoly
 
 mp.mp.dps = 40
+
+
+def test_bernoulli_numbers_exact():
+    # the tangent-number formula against the defining recurrence
+    # sum_(k <= m) C(m + 1, k) B_k = 0, exactly, for every length
+    bs = [Fraction(1)]
+    for m in range(1, 61):
+        bs.append(-sum(math.comb(m + 1, k) * bs[k] for k in range(m)) / (m + 1))
+    assert BERNOULLI == bs
+    for n in range(61):
+        assert _bernoulli_numbers(n) == bs[: n + 1]
 
 
 # --- certified scalar APIs ------------------------------------------------
@@ -112,6 +124,26 @@ def test_zeta_derivatives_oracle():
 def test_derivatives_near_pole_rejected():
     with pytest.raises(PoleTooClose):
         ev.lfunc_derivatives(ZETA, np.array([1.0 + 1e-8j]), 1)
+
+
+# the accuracy gate judges each entry by its own magnitude: with the sum cut
+# short, a point next to a zero carries a truncation bound above rel_tol
+# times its own value but below rel_tol times that of a companion next to
+# the pole; it fails alone and inside the batch, and the companion passes
+def test_accuracy_gate_per_entry(monkeypatch):
+    monkeypatch.setattr(ev, "_em_size", lambda *args: (30, 3))
+    near_zero = complex(0.5, 14.134725141734693) + 1e-6
+    S = np.array([near_zero, 1.05 + 0j])
+    C, trunc, rnd = ev._hurwitz_batch(S, 1.0, 0)
+    own = (trunc[0, 0] - rnd[0, 0]) / abs(C[0, 0])
+    shared = (trunc[0, 0] - rnd[0, 0]) / abs(C[0, 1])
+    assert shared < own / 1e4
+    rel_tol = math.sqrt(own * shared)
+    assert trunc[0, 1] <= rel_tol * abs(C[0, 1]) + rnd[0, 1]
+    ev.lfunc_derivatives_scaled(ZETA, S[1:], 0, rel_tol)
+    for pts in (S[:1], S):
+        with pytest.raises(AccuracyUnreachable, match=r"at s = \(0\.5"):
+            ev.lfunc_derivatives_scaled(ZETA, pts, 0, rel_tol)
 
 
 # --- expression evaluation ------------------------------------------------
@@ -305,28 +337,38 @@ def test_em_bounds_high(s, a):
             assert abs(C[l, 0] - complex(ref)) <= trunc[l, 0] + rnd[l, 0], l
 
 
-# a real winding batch: the contours of three adjacent zeta bands near
-# t = 1900 share their abscissae and, edge by edge, their heights, which the
-# main sum evaluates once each; every entry must match a one-point call and,
-# at a few points, mpmath
+# real winding batches: the contours of adjacent zeta bands near t = 1900
+# share their abscissae and, edge by edge, their heights, which the main
+# sum evaluates once each.  Three bands fit one row chunk, and every entry
+# must match a one-point call; sixty bands span several row chunks, and the
+# entries on both sides of every chunk boundary must.  A few entries of
+# each are checked against mpmath
 @pytest.mark.parametrize("lmax", [0, 2])
 def test_em_contour_batch(lmax):
-    edges = Z._band_edges(1899.5, 1903.0, 0)[:4]
-    S = np.concatenate([
-        Z._boundary_points(Z.Rectangle(-1.0, 3.0, lo, hi), Z._STEP0)
-        for lo, hi in zip(edges, edges[1:])
-    ])
-    assert np.unique(S.imag).size < S.size / 2
-    C, trunc, rnd = ev._hurwitz_batch(S, 1.0, lmax)
-    for i, s in enumerate(S):
-        C1, trunc1, rnd1 = ev._hurwitz_batch(np.array([s]), 1.0, lmax)
-        tol = trunc[:, i] + rnd[:, i] + trunc1[:, 0] + rnd1[:, 0]
-        assert (np.abs(C[:, i] - C1[:, 0]) <= tol).all(), s
-    with mp.workdps(30):
-        for i in np.linspace(0, S.size - 1, 4).astype(int):
-            for l in range(lmax + 1):
-                ref = mp.zeta(mp.mpc(S[i]), 1, derivative=l) / math.factorial(l)
-                assert abs(C[l, i] - complex(ref)) <= trunc[l, i] + rnd[l, i], (S[i], l)
+    for nbands in (3, 60):
+        edges = Z._band_edges(1899.5, 1900.5 + 1.1 * nbands, 0)[: nbands + 1]
+        S = np.concatenate([
+            Z._boundary_points(Z.Rectangle(-1.0, 3.0, lo, hi), Z._STEP0)
+            for lo, hi in zip(edges, edges[1:])
+        ])
+        assert np.unique(S.imag).size < S.size / 2
+        C, trunc, rnd = ev._hurwitz_batch(S, 1.0, lmax)
+        R = ev._BLOCK // max(16, ev._BLOCK // S.size)
+        if nbands == 3:
+            assert S.size <= R
+            check = range(S.size)
+        else:
+            assert S.size > 2 * R
+            check = [i for r0 in range(R, S.size, R) for i in (r0 - 1, r0)]
+        for i in check:
+            C1, trunc1, rnd1 = ev._hurwitz_batch(S[i : i + 1], 1.0, lmax)
+            tol = trunc[:, i] + rnd[:, i] + trunc1[:, 0] + rnd1[:, 0]
+            assert (np.abs(C[:, i] - C1[:, 0]) <= tol).all(), S[i]
+        with mp.workdps(30):
+            for i in np.linspace(0, S.size - 1, 4).astype(int):
+                for l in range(lmax + 1):
+                    ref = mp.zeta(mp.mpc(S[i]), 1, derivative=l) / math.factorial(l)
+                    assert abs(C[l, i] - complex(ref)) <= trunc[l, i] + rnd[l, i], (S[i], l)
 
 
 # --- functional-equation pieces -------------------------------------------

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from lfpoly import analysis as A
 from lfpoly import expr as E
 from lfpoly import zeros as Z
 from lfpoly.errors import BoundaryTooClose
@@ -81,6 +82,20 @@ def test_band_blocks_logged(zeta_expr, caplog):
     assert 1 < len(recs) < len(res.bands)
     assert sum(r.args[2] for r in recs) == len(res.bands)
     assert all(r.args[3] > 0 and r.args[4] >= 1 for r in recs)
+
+
+def test_band_blocks_size_invariant(zeta_expr, zeta_prime, monkeypatch):
+    # blocks only group bands into kernel calls: the band list of a count
+    # and the located zeros are the same at any block size
+    out = []
+    for size in (512, Z._BLOCK_POINTS):
+        monkeypatch.setattr(Z, "_BLOCK_POINTS", size)
+        bands = Z.count_nontrivial(zeta_expr, 0, 200).bands
+        zs = A.zero_list(zeta_prime, 14, 60)
+        out.append(([(b.t_lo, b.t_hi, b.count) for b in bands],
+                    [(z.rho, z.multiplicity, z.method) for z in zs]))
+    assert out[0] == out[1]
+    assert len(out[0][0]) > 150 and len(out[0][1]) > 5
 
 
 def test_locate_first_three_zeros(zeta_expr):
