@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import os
@@ -21,8 +22,6 @@ from . import analysis, expr as _expr, exprfile
 from .errors import ExpressionFileError, LfpolyError
 
 SCHEMA_VERSION = 1
-
-log = logging.getLogger("lfpoly")
 
 
 def _setup_logging():
@@ -40,12 +39,6 @@ def _cplx(z):
     return [z.real, z.imag]
 
 
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\r\n")
@@ -53,10 +46,9 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _print_table(pairs):
+def _table(pairs):
     width = max(len(k) for k, _ in pairs)
-    for k, v in pairs:
-        print(f"{k:<{width}}  {v}")
+    return [f"{k:<{width}}  {v}" for k, v in pairs]
 
 
 def _profile_doc(p):
@@ -84,122 +76,63 @@ def _strip_doc(strip):
     }
 
 
-def _load_expression(args):
-    return exprfile.load(args.file)
+# Each command returns (exit code, printed lines, document body, CSV header,
+# CSV rows, plot rows or None); _emit prints and writes them.
 
 
 def cmd_analyze(args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        F = _load_expression(args)
-        profile = _expr.degree_profile(F)
+        profile = _expr.degree_profile(exprfile.load(args.file))
     notes = [str(w.message) for w in caught]
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "analyze",
-        "profile": _profile_doc(profile),
-        "warnings": notes,
-    }
-    pd = doc["profile"]
-    _print_table(sorted(pd.items()))
-    for n in notes:
-        print(f"WARNING: {n}")
-    _write_json(os.path.join(args.out, "analyze.json"), doc)
-    _write_csv(
-        os.path.join(args.out, "analyze.csv"),
-        list(pd.keys()),
-        [[json.dumps(v) if isinstance(v, list) else v for v in pd.values()]],
-    )
-    return 0
+    pd = _profile_doc(profile)
+    lines = _table(sorted(pd.items())) + [f"WARNING: {n}" for n in notes]
+    row = [json.dumps(v) if isinstance(v, list) else v for v in pd.values()]
+    return 0, lines, {"profile": pd, "warnings": notes}, list(pd), [row], None
 
 
 def cmd_zeros(args):
-    F = _load_expression(args)
-    zs = analysis.zero_list(
-        F, args.T1, args.T2, parallelism=args.parallelism, seed=args.seed
-    )
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "zeros",
-        "T1": args.T1,
-        "T2": args.T2,
-        "zeros": [
-            {
-                "beta": z.beta,
-                "gamma": z.gamma,
-                "multiplicity": z.multiplicity,
-                "residual": z.residual,
-            }
-            for z in zs
-        ],
-    }
-    print(f"{len(zs)} zeros with {args.T1} < gamma < {args.T2}")
-    _write_json(os.path.join(args.out, "zeros.json"), doc)
-    _write_csv(
-        os.path.join(args.out, "zeros.csv"),
-        ["beta", "gamma", "multiplicity", "residual"],
-        [[z.beta, z.gamma, z.multiplicity, z.residual] for z in zs],
-    )
-    if args.plot_data:
-        _write_csv(
-            os.path.join(args.out, "zeros_plot.csv"),
-            ["x", "y"],
-            [[z.beta, z.gamma] for z in zs],
-        )
-    return 0
+    zs = analysis.zero_list(exprfile.load(args.file), args.T1, args.T2,
+                            parallelism=args.parallelism, seed=args.seed)
+    header = ["beta", "gamma", "multiplicity", "residual"]
+    rows = [[z.beta, z.gamma, z.multiplicity, z.residual] for z in zs]
+    doc = {"T1": args.T1, "T2": args.T2,
+           "zeros": [dict(zip(header, r)) for r in rows]}
+    lines = [f"{len(zs)} zeros with {args.T1} < gamma < {args.T2}"]
+    return 0, lines, doc, header, rows, [r[:2] for r in rows]
 
 
 def cmd_count(args):
-    F = _load_expression(args)
-    rep = analysis.verify_count(
-        F, args.T, parallelism=args.parallelism, seed=args.seed
-    )
+    rep = analysis.verify_count(exprfile.load(args.file), args.T,
+                                parallelism=args.parallelism, seed=args.seed)
+    header = ["tLo", "tHi", "count"]
+    rows = [[b.t_lo, b.t_hi, b.count] for b in rep.bands]
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "count",
         "T": rep.T,
         "empirical": rep.empirical,
         "predicted": rep.predicted,
         "slack": rep.slack,
         "assumptionSatisfied": rep.assumption_satisfied,
         "strip": _strip_doc(rep.strip),
-        "bands": [
-            {"tLo": b.t_lo, "tHi": b.t_hi, "count": b.count} for b in rep.bands
-        ],
+        "bands": [dict(zip(header, r)) for r in rows],
     }
-    _print_table(
-        [
-            ("T", rep.T),
-            ("empirical", rep.empirical),
-            ("predicted", rep.predicted),
-            ("slack (units of log T)", rep.slack),
-        ]
-    )
-    _write_json(os.path.join(args.out, "count.json"), doc)
-    _write_csv(
-        os.path.join(args.out, "count.csv"),
-        ["tLo", "tHi", "count"],
-        [[b.t_lo, b.t_hi, b.count] for b in rep.bands],
-    )
-    if args.plot_data:
-        acc = 0
-        rows = []
-        for b in rep.bands:
-            acc += b.count
-            rows.append([b.t_hi, acc])
-        _write_csv(os.path.join(args.out, "count_plot.csv"), ["x", "y"], rows)
-    return 0
+    lines = _table([
+        ("T", rep.T),
+        ("empirical", rep.empirical),
+        ("predicted", rep.predicted),
+        ("slack (units of log T)", rep.slack),
+    ])
+    running = itertools.accumulate(b.count for b in rep.bands)
+    plot = [[b.t_hi, n] for b, n in zip(rep.bands, running)]
+    return 0, lines, doc, header, rows, plot
 
 
 def cmd_cluster(args):
-    F = _load_expression(args)
     rep = analysis.clustering_counts(
-        F, args.delta, args.T, T2=args.T2, parallelism=args.parallelism,
-        seed=args.seed,
+        exprfile.load(args.file), args.delta, args.T, T2=args.T2,
+        parallelism=args.parallelism, seed=args.seed,
     )
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "cluster",
         "delta": rep.delta,
         "T1": rep.T1,
         "T2": rep.T2,
@@ -208,28 +141,19 @@ def cmd_cluster(args):
         "total": rep.total,
         "fractionOutside": rep.fraction_outside,
     }
-    _print_table(
-        [
-            ("delta", rep.delta),
-            ("window", f"({rep.T1}, {rep.T2})"),
-            ("nPlus", rep.n_plus),
-            ("nMinus", rep.n_minus),
-            ("total", rep.total),
-            ("fractionOutside", rep.fraction_outside),
-        ]
-    )
-    _write_json(os.path.join(args.out, "cluster.json"), doc)
-    _write_csv(
-        os.path.join(args.out, "cluster.csv"),
-        ["delta", "T1", "T2", "nPlus", "nMinus", "total", "fractionOutside"],
-        [[rep.delta, rep.T1, rep.T2, rep.n_plus, rep.n_minus, rep.total,
-          rep.fraction_outside]],
-    )
-    return 0
+    lines = _table([
+        ("delta", rep.delta),
+        ("window", f"({rep.T1}, {rep.T2})"),
+        ("nPlus", rep.n_plus),
+        ("nMinus", rep.n_minus),
+        ("total", rep.total),
+        ("fractionOutside", rep.fraction_outside),
+    ])
+    return 0, lines, doc, list(doc), [list(doc.values())], None
 
 
 def cmd_audit(args):
-    F = _load_expression(args)
+    F = exprfile.load(args.file)
     profile = _expr.degree_profile(F)
     if args.n_start is None:
         n0 = analysis.admissible_start(F, args.epsilon, run=args.n_count,
@@ -239,9 +163,8 @@ def cmd_audit(args):
     reports = analysis.trivial_zero_audit(
         F, args.epsilon, range(n0, n0 + args.n_count), profile=profile
     )
+    ok = all(r.matches for r in reports)
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "audit",
         "epsilon": args.epsilon,
         "nStart": n0,
         "disks": [
@@ -254,33 +177,20 @@ def cmd_audit(args):
             }
             for r in reports
         ],
-        "allMatch": all(r.matches for r in reports),
+        "allMatch": ok,
     }
-    for r in reports:
-        print(f"n={r.n}: {r.count} zeros (expected {r.expected})"
-              f"{'' if r.matches else '  MISMATCH'}")
-    _write_json(os.path.join(args.out, "audit.json"), doc)
-    _write_csv(
-        os.path.join(args.out, "audit.csv"),
-        ["n", "count", "expected", "matches"],
-        [[r.n, r.count, r.expected, r.matches] for r in reports],
-    )
-    if args.plot_data:
-        _write_csv(
-            os.path.join(args.out, "audit_plot.csv"),
-            ["x", "y"],
-            [[r.n, r.count] for r in reports],
-        )
-    return 0 if doc["allMatch"] else 1
+    lines = [f"n={r.n}: {r.count} zeros (expected {r.expected})"
+             f"{'' if r.matches else '  MISMATCH'}" for r in reports]
+    rows = [[r.n, r.count, r.expected, r.matches] for r in reports]
+    return (0 if ok else 1, lines, doc, ["n", "count", "expected", "matches"],
+            rows, [r[:2] for r in rows])
 
 
 def cmd_fecheck(args):
-    F = _load_expression(args)
     t_grid = [float(t) for t in args.t_grid.split(",")]
-    rep = analysis.asymptotic_fe_check(F, args.sigma, t_grid)
+    rep = analysis.asymptotic_fe_check(exprfile.load(args.file), args.sigma,
+                                       t_grid)
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "fecheck",
         "sigma": rep.sigma,
         "points": [
             {"t": p.t, "ratio": _cplx(p.ratio), "r": p.r} for p in rep.points
@@ -289,39 +199,21 @@ def cmd_fecheck(args):
         "decreasing": rep.decreasing,
         "decayExponent": rep.decay_exponent,
     }
-    for p in rep.points:
-        print(f"t={p.t:g}: r={p.r:.6g}")
-    _print_table(
-        [
-            ("sign matches", rep.sign_matches),
-            ("decreasing", rep.decreasing),
-            ("decay exponent", rep.decay_exponent),
-        ]
-    )
-    _write_json(os.path.join(args.out, "fecheck.json"), doc)
-    _write_csv(
-        os.path.join(args.out, "fecheck.csv"),
-        ["t", "ratioRe", "ratioIm", "r"],
-        [[p.t, p.ratio.real, p.ratio.imag, p.r] for p in rep.points],
-    )
-    if args.plot_data:
-        _write_csv(
-            os.path.join(args.out, "fecheck_plot.csv"),
-            ["x", "y"],
-            [[p.t, p.r] for p in rep.points],
-        )
-    return 0
+    lines = [f"t={p.t:g}: r={p.r:.6g}" for p in rep.points] + _table([
+        ("sign matches", rep.sign_matches),
+        ("decreasing", rep.decreasing),
+        ("decay exponent", rep.decay_exponent),
+    ])
+    rows = [[p.t, p.ratio.real, p.ratio.imag, p.r] for p in rep.points]
+    return (0, lines, doc, ["t", "ratioRe", "ratioIm", "r"], rows,
+            [[p.t, p.r] for p in rep.points])
 
 
 def cmd_verify(args):
-    F = _load_expression(args)
-    rep = analysis.verify_count(
-        F, args.T, parallelism=args.parallelism, seed=args.seed
-    )
+    rep = analysis.verify_count(exprfile.load(args.file), args.T,
+                                parallelism=args.parallelism, seed=args.seed)
     ok = rep.slack <= args.slack
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
         "T": rep.T,
         "empirical": rep.empirical,
         "predicted": rep.predicted,
@@ -329,23 +221,25 @@ def cmd_verify(args):
         "threshold": args.slack,
         "pass": ok,
     }
-    _print_table(
-        [
-            ("T", rep.T),
-            ("empirical", rep.empirical),
-            ("predicted", rep.predicted),
-            ("slack", rep.slack),
-            ("threshold", args.slack),
-            ("verdict", "PASS" if ok else "FAIL"),
-        ]
-    )
-    _write_json(os.path.join(args.out, "verify.json"), doc)
-    _write_csv(
-        os.path.join(args.out, "verify.csv"),
-        ["T", "empirical", "predicted", "slack", "threshold", "pass"],
-        [[rep.T, rep.empirical, rep.predicted, rep.slack, args.slack, ok]],
-    )
-    return 0 if ok else 1
+    verdict = ("verdict", "PASS" if ok else "FAIL")
+    lines = _table(list(doc.items())[:-1] + [verdict])
+    return 0 if ok else 1, lines, doc, list(doc), [list(doc.values())], None
+
+
+def _emit(args, code, lines, body, header, rows, plot):
+    """Print the lines, then write <command>.json, <command>.csv and, under
+    --plot-data, <command>_plot.csv; returns the exit code."""
+    for line in lines:
+        print(line)
+    stem = os.path.join(args.out, args.command)
+    with open(stem + ".json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump({"schema": SCHEMA_VERSION, "command": args.command, **body},
+                  fh, indent=2)
+        fh.write("\n")
+    _write_csv(stem + ".csv", header, rows)
+    if args.plot_data and plot is not None:
+        _write_csv(stem + "_plot.csv", ["x", "y"], plot)
+    return code
 
 
 def _build_parser():
@@ -364,9 +258,11 @@ def _build_parser():
         sp.add_argument("--parallelism", type=int, default=1,
                         help="band execution width")
         sp.add_argument("--plot-data", action="store_true",
-                        help="emit (x, y) series files for plotting")
+                        help="also write <command>_plot.csv, an (x, y) "
+                        "series (count, zeros, audit and fecheck)")
         sp.add_argument("--config", default=None,
-                        help="JSON file with flag defaults")
+                        help="JSON file of option values, keyed by long "
+                        "option name; flags on the command line win")
 
     sp = sub.add_parser("analyze", help="degree profile and predicted slope")
     common(sp)
@@ -413,8 +309,12 @@ def _build_parser():
     return p
 
 
-def _apply_config(args, parser):
-    if getattr(args, "config", None) is None:
+def _parse(parser, argv):
+    """Parse argv; a --config file's keys become long flags placed right
+    after the command name, so argparse types them, a flag on the command
+    line wins, and an unknown key or a bad value is a usage error."""
+    args = parser.parse_args(argv)
+    if args.config is None:
         return args
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -423,13 +323,9 @@ def _apply_config(args, parser):
         parser.error(f"cannot read config file {args.config}: {e}")
     if not isinstance(cfg, dict):
         parser.error("config file must hold a JSON object")
-    # config supplies defaults only: explicit flags keep their parsed value,
-    # which is detected by re-parsing with the config values as defaults
-    for k, v in cfg.items():
-        key = k.replace("-", "_")
-        if hasattr(args, key) and getattr(args, key) in (None, parser.get_default(key)):
-            setattr(args, key, v)
-    return args
+    flags = [f"--{k.replace('_', '-')}" + ("" if v is True else f"={v}")
+             for k, v in cfg.items()]
+    return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
 def _emit_error(exc):
@@ -446,8 +342,7 @@ def _emit_error(exc):
 def main(argv=None):
     _setup_logging()
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    args = _apply_config(args, parser)
+    args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
     missing = [n for n in getattr(args, "_required", [])
                if getattr(args, n) is None]
     if missing:
@@ -455,8 +350,8 @@ def main(argv=None):
                      + ", ".join(f"--{n}" for n in missing))
     try:
         os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
-    except (ExpressionFileError, ValueError) as e:
+        return _emit(args, *args.func(args))
+    except (ExpressionFileError, OSError, ValueError) as e:
         _emit_error(e)
         return 2
     except LfpolyError as e:

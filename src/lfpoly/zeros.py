@@ -44,8 +44,9 @@ _STEP0 = 0.25  # initial spacing of contour samples
 # nudges tried in turn on a rectangle whose contour grazes a zero
 _SHIFTS = (0j, 0.01 + 0.01j, -0.01 + 0.01j, 0.01 - 0.01j, -0.01 - 0.01j,
            0.007 + 0.013j)
-# initial contour samples per block of bands wound in lockstep
-_BLOCK_POINTS = 2048
+# initial contour samples per block of bands wound in lockstep: 50 zeta
+# bands of 45 samples each
+_BLOCK_POINTS = 2250
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,18 @@ class StripBounds:
     E1method: str  # "scan" or "default"
 
 
+def _edge_samples(length, step0):
+    """Samples on one boundary edge of the given length, its end excluded."""
+    return max(2, int(length / step0) + 1)
+
+
 def _boundary_points(rect, step0):
     """Counterclockwise samples of rect's boundary about step0 apart,
     closed by a repeat of the first corner."""
     loop = list(rect.corners) + [rect.corners[0]]
     pts = []
     for a, b in zip(loop, loop[1:]):
-        n = max(2, int(abs(b - a) / step0) + 1)
+        n = _edge_samples(abs(b - a), step0)
         pts.extend(a + (b - a) * np.arange(n) / n)
     pts.append(loop[0])
     return np.array(pts, dtype=complex)
@@ -499,9 +505,10 @@ def _map_bands(T1, T2, strip, fn, parallelism, seed):
     fn takes a list of bands and returns one result per band.  A block
     holds the bands whose initial contour samples fit in _BLOCK_POINTS, at
     least one, so the blocks and the results do not depend on parallelism
-    or scheduling.  A block is one kernel batch per refinement round: at
-    _BLOCK_POINTS = 2048 about 50 zeta bands share each call, and the
-    kernel's row chunks keep its memory flat at that size.
+    or scheduling.  A band's sample count is that of _boundary_points.  A
+    block is one kernel batch per refinement round: at _BLOCK_POINTS = 2250
+    50 zeta bands of 45 samples share each call, and the kernel's row
+    chunks keep its memory flat at that size.
     """
     if T2 > MAX_HEIGHT:
         raise ValueError(f"height {T2} exceeds the desk-scale cap {MAX_HEIGHT}")
@@ -511,7 +518,8 @@ def _map_bands(T1, T2, strip, fn, parallelism, seed):
     blocks, size = [], _BLOCK_POINTS
     for a, b in zip(edges, edges[1:]):
         r = Rectangle(strip.E1, strip.E2, a, b)
-        n = 2 * (r.sigma_hi - r.sigma_lo + r.t_hi - r.t_lo) / _STEP0
+        n = 1 + 2 * (_edge_samples(r.sigma_hi - r.sigma_lo, _STEP0)
+                     + _edge_samples(r.t_hi - r.t_lo, _STEP0))
         if size + n > _BLOCK_POINTS:
             blocks.append([])
             size = 0

@@ -1,4 +1,6 @@
+import csv
 import importlib.resources as res
+import itertools
 import json
 import os
 import subprocess
@@ -53,18 +55,29 @@ def _load(out, name):
     return doc
 
 
-def test_analyze(zeta_file, tmp_path):
+def _labels(capsys):
+    # first column of each printed line: a table key, or the text before ": "
+    out = capsys.readouterr().out
+    return [line.split("  ")[0].split(": ")[0] for line in out.splitlines()]
+
+
+def test_analyze(zeta_file, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert _run(["analyze", zeta_file, "-o", out]) == 0
+    assert _labels(capsys) == [
+        "J", "alpha1", "alpha2", "assumptionSatisfied", "degCond", "degDer",
+        "degRk", "etaNF", "nF", "pF", "sumCJ",
+    ]
     doc = _load(out, "analyze")
     assert doc["schema"] == 1
     assert doc["profile"]["degRk"] == 1
     assert doc["profile"]["pF"] == 1
 
 
-def test_zeros(zeta_file, tmp_path):
+def test_zeros(zeta_file, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert _run(["zeros", zeta_file, "-o", out, "--T2", "30"]) == 0
+    assert _labels(capsys) == ["3 zeros with 0.0 < gamma < 30.0"]
     doc = _load(out, "zeros")
     assert len(doc["zeros"]) == 3
     assert doc["zeros"][0]["gamma"] == pytest.approx(14.134725, abs=1e-5)
@@ -73,53 +86,66 @@ def test_zeros(zeta_file, tmp_path):
     assert b"\r\n" in data
 
 
-def test_count(zeta_file, tmp_path):
+def test_count(zeta_file, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert _run(["count", zeta_file, "-o", out, "--T", "50"]) == 0
+    assert _labels(capsys) == [
+        "T", "empirical", "predicted", "slack (units of log T)",
+    ]
     doc = _load(out, "count")
     assert doc["empirical"] == 10
     assert sum(b["count"] for b in doc["bands"]) == 10
 
 
-def test_cluster(zeta_file, tmp_path):
+def test_cluster(zeta_file, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert _run(
         ["cluster", zeta_file, "-o", out, "--delta", "0.1", "--T", "14",
          "--T2", "31"]
     ) == 0
+    assert _labels(capsys) == [
+        "delta", "window", "nPlus", "nMinus", "total", "fractionOutside",
+    ]
     doc = _load(out, "cluster")
     assert doc["fractionOutside"] == 0.0
     assert doc["total"] == 4
 
 
-def test_audit(zeta_file, tmp_path):
+def test_audit(zeta_file, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert _run(
         ["audit", zeta_file, "-o", out, "--epsilon", "0.25", "--n-start", "3",
          "--n-count", "3"]
     ) == 0
+    assert _labels(capsys) == ["n=3", "n=4", "n=5"]
     doc = _load(out, "audit")
     assert all(d["matches"] for d in doc["disks"])
 
 
-def test_fecheck(zeta_file, tmp_path):
+def test_fecheck(zeta_file, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert _run(
         ["fecheck", zeta_file, "-o", out, "--sigma", "3", "--t-grid", "30,60"]
     ) == 0
+    assert _labels(capsys) == [
+        "t=30", "t=60", "sign matches", "decreasing", "decay exponent",
+    ]
     doc = _load(out, "fecheck")
     assert doc["signMatches"]
     assert len(doc["points"]) == 2
 
 
-def test_verify_pass_and_fail(zeta_file, tmp_path):
+def test_verify_pass_and_fail(zeta_file, tmp_path, capsys):
     out = str(tmp_path / "o")
+    labels = ["T", "empirical", "predicted", "slack", "threshold", "verdict"]
     assert _run(["verify", zeta_file, "-o", out, "--T", "50"]) == 0
+    assert _labels(capsys) == labels
     doc = _load(out, "verify")
     assert doc["pass"] is True
     assert _run(
         ["verify", zeta_file, "-o", out, "--T", "50", "--slack", "1e-12"]
     ) == 1
+    assert _labels(capsys) == labels
 
 
 def test_malformed_file_is_usage_error(tmp_path, capsys):
@@ -129,6 +155,12 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     jsonschema.validate(doc, _schema("error"))
     assert doc["error"]["line"] == 1
+    # a missing file is a usage error too
+    missing = str(tmp_path / "nosuch.json")
+    assert _run(["analyze", missing, "-o", str(tmp_path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, _schema("error"))
+    assert doc["error"]["type"] == "FileNotFoundError"
 
 
 @pytest.mark.parametrize("argv", [
@@ -168,23 +200,74 @@ def test_determinism_across_parallelism(zeta_file, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_plot_data(zeta_file, tmp_path):
-    out = str(tmp_path / "o")
-    assert _run(["count", zeta_file, "-o", out, "--T", "40",
-                 "--plot-data"]) == 0
-    with open(f"{out}/count_plot.csv") as fh:
-        lines = fh.read().splitlines()
-    assert lines[0] == "x,y"
-    assert len(lines) > 2
+def _running_counts(doc):
+    counts = itertools.accumulate(b["count"] for b in doc["bands"])
+    return [[b["tHi"], n] for b, n in zip(doc["bands"], counts)]
+
+
+# per command: flags, and the (x, y) rows expected from its document, or
+# None where the command writes no plot file
+PLOTS = {
+    "count": (["--T", "40"], _running_counts),
+    "zeros": (["--T2", "30"],
+              lambda d: [[z["beta"], z["gamma"]] for z in d["zeros"]]),
+    "audit": (["--n-start", "3", "--n-count", "3"],
+              lambda d: [[x["n"], x["count"]] for x in d["disks"]]),
+    "fecheck": (["--t-grid", "30,60"],
+                lambda d: [[p["t"], p["r"]] for p in d["points"]]),
+    "analyze": ([], None),
+    "cluster": (["--delta", "0.1", "--T", "14", "--T2", "31"], None),
+    "verify": (["--T", "40"], None),
+}
+
+
+@pytest.mark.parametrize("command", list(PLOTS))
+def test_plot_data(zeta_file, tmp_path, command):
+    flags, expect = PLOTS[command]
+    out = tmp_path / "o"
+    assert _run([command, zeta_file, "-o", str(out), "--plot-data"]
+                + flags) == 0
+    path = out / f"{command}_plot.csv"
+    if expect is None:
+        assert not path.exists()
+        return
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["x", "y"]
+    want = expect(_load(str(out), command))
+    assert len(rows) == len(want) > 1
+    assert [[float(v) for v in r] for r in rows] == want
 
 
 def test_config_defaults(zeta_file, tmp_path):
+    # (command, config, further flags, the same run without a config or
+    # None for a usage error)
+    cases = [
+        ("count", {"T": 40.0}, [], ["--T", "40"]),
+        ("count", {"T": 40}, [], ["--T", "40"]),
+        ("count", {"seed": 5, "T": 40}, [], ["--T", "40", "--seed", "5"]),
+        ("count", {"seed": 5, "T": 40}, ["--seed", "7"],
+         ["--T", "40", "--seed", "7"]),
+        ("verify", {"T": 40, "slack": 0.01}, [],
+         ["--T", "40", "--slack", "0.01"]),
+        ("count", {"T": "abc"}, [], None),
+        ("count", {"T": 40, "Tx": 40}, [], None),
+    ]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"T": 40.0}))
-    out = str(tmp_path / "o")
-    assert _run(["count", zeta_file, "-o", out, "--config", str(cfg)]) == 0
-    doc = _load(out, "count")
-    assert doc["T"] == 40.0
+    for i, (command, values, flags, same) in enumerate(cases):
+        cfg.write_text(json.dumps(values))
+        out = str(tmp_path / f"c{i}")
+        argv = [command, zeta_file, "-o", out, "--config", str(cfg)] + flags
+        if same is None:
+            with pytest.raises(SystemExit) as e:
+                _run(argv)
+            assert e.value.code == 2, values
+            continue
+        ref = str(tmp_path / f"r{i}")
+        assert _run(argv) == _run([command, zeta_file, "-o", ref] + same)
+        with open(f"{out}/{command}.json", "rb") as a, \
+                open(f"{ref}/{command}.json", "rb") as b:
+            assert a.read() == b.read(), values
 
 
 def test_log_env_does_not_change_output(zeta_file, tmp_path, monkeypatch):
