@@ -1,8 +1,9 @@
 """Argument-principle zero machinery.
 
 Winding numbers over rectangle boundaries by adaptive phase tracking,
-recursive subdivision to isolate zeros, Newton polishing, zero-free strip
-bounds E1/E2, and banded nontrivial-zero counting.
+zeros by Newton from the contour's moments with recursive subdivision as
+the fallback, zero-free strip bounds E1/E2, and banded nontrivial-zero
+counting.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ _REL_TOL = 1e-6  # evaluation target on contours
 _ISOLATION_TOL = 1e-9  # box diameter below which subdivision stops
 _NEWTON_TOL = 1e-10  # evaluation target for Newton steps and residuals
 _NEWTON_ITERS = 60
+_SAME_ZERO = 1e-8  # zeros closer than this are one zero
+# Newton starts are rounded to this fraction of their box's half-diameter,
+# far below the moments' own error (about 1e-4)
+_START_GRID = 2.0**24
 _STEP0 = 0.25  # initial spacing of contour samples
 # nudges tried in turn on a rectangle whose contour grazes a zero
 _SHIFTS = (0j, 0.01 + 0.01j, -0.01 + 0.01j, 0.01 - 0.01j, -0.01 - 0.01j,
@@ -153,6 +158,12 @@ def _winding_eval(F, tally=None):
     return ev
 
 
+def _phase_diffs(vals):
+    """Phase change along each segment of a sample loop, in [-pi, pi)."""
+    d = np.diff(np.angle(vals))
+    return (d + np.pi) % (2 * np.pi) - np.pi
+
+
 def _phase_step(pts, vals, lm):
     """One refinement round of a closed sample loop: (turns, None) once
     every phase step is below pi/2, else (None, indices of the segments to
@@ -165,8 +176,7 @@ def _phase_step(pts, vals, lm):
         raise BoundaryTooClose(
             "expression magnitude on the contour drops below the guard"
         )
-    d = np.diff(np.angle(vals))
-    d = (d + np.pi) % (2 * np.pi) - np.pi
+    d = _phase_diffs(vals)
     bad = np.abs(d) > np.pi / 2
     if not bad.any():
         w = float(d.sum()) / (2 * np.pi)
@@ -191,7 +201,26 @@ def _phase_step(pts, vals, lm):
     return None, idx
 
 
-def _track_windings(ev, loops):
+def _zero_moments(pts, vals, lm, w, c, h, p):
+    """(n, s) for a refined loop of winding w that encloses a pole of
+    order p at s = 1: its n = w + p zeros rho and their moments
+    s_k = sum ((rho - c) / h)^k for k < 2n.
+
+    s_k = (1/2 pi i) loop-integral of x^k dlog F, x = (z - c) / h, plus
+    p x(1)^k for the pole; each segment adds x(midpoint)^k times its
+    change of log F, Delta lm + i Delta arg.  lm carries g, so the sum
+    holds on the scaled far-left path too.  Scaling by the box's centre c
+    and half-diameter h keeps |x| <= 1.
+    """
+    n = w + p
+    k = np.arange(max(2 * n, 0))
+    dlog = (np.diff(lm) + 1j * _phase_diffs(vals)) / (2j * np.pi)
+    x = ((pts[:-1] + pts[1:]) / 2 - c) / h
+    s = (x[:, None] ** k * dlog[:, None]).sum(axis=0)
+    return n, s + p * ((1 - c) / h) ** k
+
+
+def _track_windings(ev, loops, frames=None):
     """Turns around each closed sample loop of the function ev evaluates,
     all loops in lockstep.
 
@@ -199,7 +228,9 @@ def _track_windings(ev, loops):
     below pi/2, with its own guards and sample budget; the samples of all
     loops, and then in each round the midpoints of all unfinished loops,
     go to ev in one call.  Returns one entry per loop: its winding number,
-    or the BoundaryTooClose or PhaseUnresolved that ended it.
+    or the BoundaryTooClose or PhaseUnresolved that ended it.  With
+    frames, one (c, h, p) per loop, a finished loop's entry is instead the
+    (n, s) of _zero_moments over its final samples, at no extra points.
     """
     def split(parts, arrays):
         cuts = np.cumsum([p.size for p in parts])[:-1]
@@ -213,12 +244,16 @@ def _track_windings(ev, loops):
         halve = {}
         for i, (pts, vals, lm) in live.items():
             try:
-                out[i], idx = _phase_step(pts, vals, lm)
+                w, idx = _phase_step(pts, vals, lm)
             except (BoundaryTooClose, PhaseUnresolved) as e:
                 out[i] = e
                 continue
             if idx is not None:
                 halve[i] = idx
+            elif frames is None:
+                out[i] = w
+            else:
+                out[i] = _zero_moments(pts, vals, lm, w, *frames[i])
         mids = [(live[i][0][idx] + live[i][0][idx + 1]) / 2 for i, idx in halve.items()]
         if mids:
             for (i, idx), mid, new in zip(halve.items(), mids,
@@ -229,10 +264,22 @@ def _track_windings(ev, loops):
     return out
 
 
-def _windings(F, rects, step0=_STEP0, tally=None):
-    """_track_windings over the boundaries of rects, one entry per rect."""
+def _windings(F, rects, step0=_STEP0, tally=None, moments=False):
+    """_track_windings over the boundaries of rects, one entry per rect.
+
+    With moments, each entry is the (n, s) of _zero_moments in the frame
+    of its rect (centre, half-diameter), which counts zeros only: the pole
+    of F at s = 1, when inside, is added back to the winding and to the
+    moments alike.
+    """
     loops = [_boundary_points(r, step0) for r in rects]
-    return _track_windings(_winding_eval(F, tally), loops)
+    frames = None
+    if moments:
+        inside = [r.contains(1 + 0j) for r in rects]
+        p_F = _expr.pole_order(F) if any(inside) else 0
+        frames = [(r.center, r.diameter / 2, p_F if pole else 0)
+                  for r, pole in zip(rects, inside)]
+    return _track_windings(_winding_eval(F, tally), loops, frames)
 
 
 def _first_error(results):
@@ -253,18 +300,19 @@ def winding_count(F, rect: Rectangle, step0=_STEP0):
     return _first_error(_windings(F, [rect], step0))[0]
 
 
-def _windings_jittered(F, rects, tally=None):
-    """(winding, rectangle used) per rectangle; a rectangle whose contour
-    grazes a zero is nudged through _SHIFTS, and all rectangles still
-    unresolved retry together.  An entry is the exception that ended its
-    rectangle instead: PhaseUnresolved, or the last BoundaryTooClose when
-    no shift helps."""
+def _windings_jittered(F, rects, tally=None, moments=False):
+    """(winding, rectangle used) per rectangle, the winding an _windings
+    entry; a rectangle whose contour grazes a zero is nudged through
+    _SHIFTS, and all rectangles still unresolved retry together.  An entry
+    is the exception that ended its rectangle instead: PhaseUnresolved, or
+    the last BoundaryTooClose when no shift helps."""
     out = [None] * len(rects)
     todo = list(range(len(rects)))
     for dz in _SHIFTS:
         used = [rects[i].shifted(dz) for i in todo]
         retry = []
-        for i, r, w in zip(todo, used, _windings(F, used, tally=tally)):
+        for i, r, w in zip(todo, used,
+                           _windings(F, used, tally=tally, moments=moments)):
             out[i] = w if isinstance(w, Exception) else (w, r)
             if isinstance(w, BoundaryTooClose):
                 retry.append(i)
@@ -274,10 +322,10 @@ def _windings_jittered(F, rects, tally=None):
     return out
 
 
-def _wind_block(F, rects):
+def _wind_block(F, rects, moments=False):
     """_windings_jittered over a block of bands, logged as one record."""
     tally = {"points": 0, "rounds": 0}
-    out = _windings_jittered(F, rects, tally)
+    out = _windings_jittered(F, rects, tally, moments)
     nudged = sum(1 for r, w in zip(rects, out)
                  if not isinstance(w, Exception) and w[1] != r)
     log.debug(
@@ -289,18 +337,76 @@ def _wind_block(F, rects):
 
 
 def _newton(F, z0, box):
+    """(zero, steps) of Newton's method from z0; the zero is None when z0
+    or a step lies outside box by more than its diameter, or the steps run
+    out."""
+    if not box.contains(z0, margin=box.diameter):
+        return None, 0
     z = z0
-    for _ in range(_NEWTON_ITERS):
+    for n in range(1, _NEWTON_ITERS + 1):
         f, fp = eval_F_with_prime(F, z, _NEWTON_TOL)
         if fp == 0:
-            return None
+            return None, n
         step = f / fp
         z = z - step
         if not box.contains(z, margin=box.diameter):
-            return None
+            return None, n
         if abs(step) < 1e-13 * (1 + abs(z)):
-            return z
-    return None
+            return z, n
+    return None, _NEWTON_ITERS
+
+
+def _starts(rect, s):
+    """Newton starts for the n = len(s) // 2 zeros whose moments in rect's
+    frame are s: the eigenvalues of the Hankel pencil (H_1, H_0),
+    H_j = [s_{i+l+j}] for i, l < n (s_1 / s_0 for one zero), mapped back
+    to the plane.  None when H_0 is singular.
+
+    Contour values differ in their last bits with the batch a band is
+    wound in, so each eigenvalue is rounded to a multiple of
+    1 / _START_GRID: the starts, and so the zeros, do not depend on how
+    bands are grouped into blocks.
+    """
+    n = len(s) // 2
+    if n == 1:
+        # the 1 x 1 pencil by hand (s_0 is within _SNAP of 1): a first
+        # LAPACK call costs about 1 MiB of resident memory, and most boxes
+        # hold one zero
+        lam = s[1:] / s[0]
+    else:
+        ij = np.add.outer(np.arange(n), np.arange(n))
+        try:
+            lam = np.linalg.eigvals(np.linalg.solve(s[ij], s[ij + 1]))
+        except np.linalg.LinAlgError:
+            return None
+    lam = np.round(lam * _START_GRID) / _START_GRID
+    return [rect.center + rect.diameter / 2 * complex(x) for x in lam]
+
+
+def _polish(F, rect, starts):
+    """One "newton" record per start, or None unless Newton takes the
+    starts to that many distinct zeros, all inside rect."""
+    if starts is None:
+        return None
+    found = []
+    for z0 in starts:
+        z, steps = _newton(F, z0, rect)
+        if (z is None or not rect.contains(z, margin=1e-9)
+                or any(abs(z - y) < _SAME_ZERO for _, y, _ in found)):
+            return None
+        found.append((z0, z, steps))
+    out = []
+    for z0, z, steps in found:
+        res = abs(eval_F(F, z, rel_tol=_NEWTON_TOL))
+        out.append(_record(z, 1, res, rect, "newton", z0, steps))
+    return out
+
+
+def _record(z, multiplicity, residual, rect, method, start, steps):
+    """ZeroRecord, logged with how it was found."""
+    log.debug("zero %r, multiplicity %d: %s from start %r, %d Newton steps, "
+              "residual %.3g", z, multiplicity, method, start, steps, residual)
+    return ZeroRecord(z, multiplicity, residual, rect, method)
 
 
 def _quadrisect(rect, fx=0.5, fy=0.5):
@@ -315,28 +421,29 @@ def _quadrisect(rect, fx=0.5, fy=0.5):
 
 
 def locate_zeros(F, rect: Rectangle, wound=None):
-    """Zeros of F inside rect, recursively isolated and Newton-polished.
+    """Zeros of F inside rect, isolated by the contour's moments and
+    Newton-polished.
 
-    Quadrisection until each box holds winding <= 1 or shrinks below
-    _ISOLATION_TOL; winding-1 boxes are polished by Newton with bisection
-    fallback; clustered zeros surface as one record with multiplicity.
-    wound is rect's (winding, rectangle used) when already wound, as
+    The winding of a box brings its zero count n and the moments of its
+    zeros (_zero_moments); Newton runs from each eigenvalue of their Hankel
+    pencil (_starts).  A box that yields n distinct zeros inside it is
+    done; any other is quadrisected, each sub-box with its own moments,
+    until it shrinks below _ISOLATION_TOL, so clustered zeros surface as
+    one record with multiplicity.  wound is rect's
+    ((n, s), rectangle used) when already wound with moments, as
     _windings_jittered gives it.
     """
-    p_F = _expr.pole_order(F) if rect.contains(1 + 0j, margin=0.1) else 0
-    out = []
     if wound is None:
-        wound = _first_error(_windings_jittered(F, [rect]))[0]
-    w, rect = wound
-    if p_F and rect.contains(1 + 0j):
-        w += p_F
-    _locate_rec(F, rect, w, p_F, out, 0)
+        wound = _first_error(_windings_jittered(F, [rect], moments=True))[0]
+    (n, s), rect = wound
+    out = []
+    _locate_rec(F, rect, n, s, out, 0)
     out.sort(key=lambda z: (z.gamma, z.beta))
     # a multiple zero lying on a subdivision line can surface once per
     # adjacent box; records at the same point merge into one
     merged = []
     for rec in out:
-        if merged and abs(rec.rho - merged[-1].rho) < 1e-8:
+        if merged and abs(rec.rho - merged[-1].rho) < _SAME_ZERO:
             prev = merged[-1]
             prev.multiplicity += rec.multiplicity
             prev.residual = max(prev.residual, rec.residual)
@@ -349,49 +456,48 @@ def _locate_block(F, rects):
     """locate_zeros over a block of bands wound in lockstep: one zero list
     per band, and the first error in band order raised."""
     out = []
-    for rect, wound in zip(rects, _wind_block(F, rects)):
+    for rect, wound in zip(rects, _wind_block(F, rects, moments=True)):
         if isinstance(wound, Exception):
             raise wound
         out.append(locate_zeros(F, rect, wound))
     return out
 
 
-def _locate_rec(F, rect, w, p_F, out, depth):
-    if w <= 0:
+def _locate_rec(F, rect, n, s, out, depth):
+    """Records of the n zeros in rect, whose moments are s, into out:
+    Newton from the pencil's starts, else quadrisection."""
+    if n <= 0:
         return
-    if w == 1:
-        z = _newton(F, rect.center, rect)
-        if z is not None and rect.contains(z, margin=1e-9):
-            res = abs(eval_F(F, z, rel_tol=_NEWTON_TOL))
-            out.append(ZeroRecord(z, 1, res, rect, "newton"))
-            return
+    found = _polish(F, rect, _starts(rect, s))
+    if found is not None:
+        out.extend(found)
+        return
     if rect.diameter < _ISOLATION_TOL:
         z = rect.center
-        out.append(ZeroRecord(z, w, abs(eval_F(F, z)), rect, "bisection-only"))
+        out.append(_record(z, n, abs(eval_F(F, z)), rect, "bisection-only",
+                           None, 0))
         return
     if depth > 60:
         raise NonConvergence("subdivision depth exhausted", box=rect)
-    remaining = w
+    remaining = n
     fracs = [(0.5, 0.5), (0.513, 0.487), (0.461, 0.533)]
     for i, fr in enumerate(fracs):
         # the four sub-boxes wind in one call; the first failure in box
         # order decides, as if they were wound one after another
         subs = _quadrisect(rect, *fr)
         try:
-            ws = _first_error(_windings(F, subs))
+            ws = _first_error(_windings(F, subs, moments=True))
             break
         except BoundaryTooClose:
             if i == len(fracs) - 1:
                 raise NonConvergence("no clean subdivision line", box=rect)
-    for sub, sw in zip(subs, ws):
-        if p_F and sub.contains(1 + 0j):
-            sw += p_F
-        if sw > 0:
-            _locate_rec(F, sub, sw, p_F, out, depth + 1)
-        remaining -= sw
+    for sub, (sn, ss) in zip(subs, ws):
+        if sn > 0:
+            _locate_rec(F, sub, sn, ss, out, depth + 1)
+        remaining -= sn
     if remaining != 0:
         raise NonConvergence(
-            f"subdivision lost {remaining} of {w} zeros", box=rect
+            f"subdivision lost {remaining} of {n} zeros", box=rect
         )
 
 

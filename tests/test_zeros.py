@@ -115,6 +115,95 @@ def test_locate_multiplicity_two():
     assert zs[0].multiplicity == 2
 
 
+def _count_calls(monkeypatch, name):
+    """Calls of the zeros module's binding of name, counted from now on."""
+    calls = []
+    real = getattr(Z, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(Z, name, counted)
+    return calls
+
+
+def test_newton_steps_per_zero(zeta_prime, monkeypatch):
+    # Newton starts from the band's first moment, a few steps from each
+    # zero; started from the band's centre it took about 16.5 steps
+    calls = _count_calls(monkeypatch, "eval_F_with_prime")
+    zs = A.zero_list(zeta_prime, 14, 80)
+    assert len(zs) == 13 and all(z.method == "newton" for z in zs)
+    assert len(calls) <= 4 * len(zs)
+
+
+def test_locate_pencil_two_zeros(zeta_expr, monkeypatch):
+    # one box, two zeros: the eigenvalues of the 2 x 2 Hankel pencil of
+    # the box's moments start Newton at both, with no subdivision
+    subdivided = _count_calls(monkeypatch, "_quadrisect")
+    zs = Z.locate_zeros(zeta_expr, Z.Rectangle(-1.0, 2.0, 13.0, 22.0))
+    assert [z.method for z in zs] == ["newton", "newton"]
+    for z, k in zip(zs, (1, 2)):
+        assert abs(z.rho - complex(mp.zetazero(k))) < 1e-12
+        assert z.multiplicity == 1
+    assert subdivided == []
+
+
+def test_locate_pole_in_box(zeta_expr, zeta_prime, monkeypatch):
+    # the pole at s = 1 is added back to the winding and the moments, so a
+    # box around it and a trivial zero finds that zero alone
+    subdivided = _count_calls(monkeypatch, "_quadrisect")
+    rect = Z.Rectangle(-3.0, 3.0, -1.0, 1.0)
+    for F, beta in ((zeta_expr, -2.0),
+                    (zeta_prime, float(mp.findroot(lambda s: mp.zeta(s, 1, 1),
+                                                   -2.7)))):
+        [z] = Z.locate_zeros(F, rect)
+        assert abs(z.rho - beta) < 1e-12 and z.multiplicity == 1
+    assert subdivided == []
+
+
+def test_locate_starts_outside_fall_back(zeta_expr, monkeypatch):
+    # starts outside the box are no use: the box is quadrisected and the
+    # sub-boxes' own moments give the same zeros
+    rect = Z.Rectangle(-1.0, 2.0, 13.0, 22.0)
+    want = Z.locate_zeros(zeta_expr, rect)
+    real = Z._starts
+    moved = []
+
+    def outside(box, s):
+        starts = real(box, s)
+        if not moved:
+            starts = [z + 3 * box.diameter for z in starts]
+            moved.extend(starts)
+        return starts
+
+    monkeypatch.setattr(Z, "_starts", outside)
+    subdivided = _count_calls(monkeypatch, "_quadrisect")
+    got = Z.locate_zeros(zeta_expr, rect)
+    assert len(moved) == 2 and not any(rect.contains(z) for z in moved)
+    assert subdivided
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert abs(g.rho - w.rho) < 1e-13
+        assert (g.multiplicity, g.method) == (1, "newton")
+
+
+def test_located_zeros_logged(zeta_expr, caplog):
+    # one DEBUG record per located zero: where Newton started, its steps,
+    # the residual and the method
+    rect = Z.Rectangle(0.0, 1.0, 10.0, 30.0)
+    with caplog.at_level(logging.DEBUG, logger="lfpoly.zeros"):
+        zs = Z.locate_zeros(zeta_expr, rect)
+    recs = [r for r in caplog.records
+            if r.name == "lfpoly.zeros" and r.msg.startswith("zero ")]
+    recs.sort(key=lambda r: r.args[0].imag)
+    assert [r.args[0] for r in recs] == [z.rho for z in zs]
+    for r, z in zip(recs, zs):
+        rho, mult, method, start, steps, res = r.args
+        assert (mult, method, res) == (1, "newton", z.residual)
+        assert abs(start - rho) < 0.02 * rect.diameter and 1 <= steps <= 6
+
+
 def test_count_zeta_100(zeta_expr):
     assert int(Z.count_nontrivial(zeta_expr, 0, 100)) == 29
 
