@@ -48,8 +48,8 @@ def verify_count(F, T, profile=None, strip=None, parallelism=1, seed=0) -> Count
 def zero_list(F, T1, T2, strip=None, profile=None, parallelism=1, seed=0):
     """Located zeros with T1 < gamma < T2, band by band, sorted by height.
 
-    Bands are wound in lockstep blocks, as in count_nontrivial, and zeros
-    are isolated in the bands that wind; seed jitters the band edges.
+    Bands are wound in blocks, as in count_nontrivial, and zeros are
+    isolated in the bands that wind; seed jitters the band edges.
     """
     if profile is None:
         profile = _expr.degree_profile(F)
@@ -57,8 +57,8 @@ def zero_list(F, T1, T2, strip=None, profile=None, parallelism=1, seed=0):
         strip = _zeros.zero_free_bounds(F, profile)
 
     chunks = _zeros._map_bands(
-        T1, T2, strip, lambda rects: _zeros._locate_block(F, rects),
-        parallelism, seed,
+        F, T1, T2, strip, lambda wound: _zeros.locate_zeros(F, wound[1], wound),
+        parallelism, seed, moments=True,
     )
     out = [z for chunk in chunks for z in chunk if T1 < z.gamma < T2]
     out.sort(key=lambda z: (z.gamma, z.beta))
@@ -169,7 +169,7 @@ def trivial_zero_audit(F, epsilon, n_range, profile=None):
                              c.imag - epsilon, c.imag + epsilon)
             for c in _merge_centers(centers, 2 * epsilon)
         ]
-        wound = _zeros._first_error(_zeros._windings_jittered(F, rects))
+        wound = _zeros._first_error(_zeros._wind_each(F, rects))
         count = sum(w for w, _ in wound)
         reports.append(
             DiskReport(n=n, centers=tuple(centers), count=count,

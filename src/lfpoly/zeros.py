@@ -1,9 +1,9 @@
 """Argument-principle zero machinery.
 
-Winding numbers over rectangle boundaries by adaptive phase tracking,
-zeros by Newton from the contour's moments with recursive subdivision as
-the fallback, zero-free strip bounds E1/E2, and banded nontrivial-zero
-counting.
+Windings of rectangles from the phase changes along their distinct edges,
+each refined once however many rectangles share it (_wind), zeros by
+Newton from the contour's moments with quadrisection as the fallback,
+zero-free strip bounds E1/E2, and banded nontrivial-zero counting.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,12 +47,12 @@ _SAME_ZERO = 1e-8  # zeros closer than this are one zero
 # far below the moments' own error (about 1e-4)
 _START_GRID = 2.0**24
 _STEP0 = 0.25  # initial spacing of contour samples
-# nudges tried in turn on a rectangle whose contour grazes a zero
-_SHIFTS = (0j, 0.01 + 0.01j, -0.01 + 0.01j, 0.01 - 0.01j, -0.01 - 0.01j,
-           0.007 + 0.013j)
-# initial contour samples per block of bands wound in lockstep: 50 zeta
-# bands of 45 samples each
-_BLOCK_POINTS = 2250
+# positions tried in turn by a line whose edge grazes a zero, in units of
+# the line's gap (_wind)
+_OFFSETS = (0.0, 0.01, -0.01, 0.02, -0.02, 0.03)
+# initial samples per block of bands, counted edge by edge: 50 zeta bands
+# of 30 (a height's edge and the band's two sides; 26 distinct points)
+_BLOCK_POINTS = 1500
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,6 @@ class Rectangle:
     def __post_init__(self):
         if not (self.sigma_lo < self.sigma_hi and self.t_lo < self.t_hi):
             raise ValueError("degenerate rectangle")
-
-    @property
-    def corners(self):
-        return (
-            complex(self.sigma_lo, self.t_lo),
-            complex(self.sigma_hi, self.t_lo),
-            complex(self.sigma_hi, self.t_hi),
-            complex(self.sigma_lo, self.t_hi),
-        )
 
     @property
     def center(self):
@@ -88,14 +80,6 @@ class Rectangle:
         return (
             self.sigma_lo - margin <= z.real <= self.sigma_hi + margin
             and self.t_lo - margin <= z.imag <= self.t_hi + margin
-        )
-
-    def shifted(self, dz):
-        return Rectangle(
-            self.sigma_lo + dz.real,
-            self.sigma_hi + dz.real,
-            self.t_lo + dz.imag,
-            self.t_hi + dz.imag,
         )
 
 
@@ -124,214 +108,234 @@ class StripBounds:
     E1method: str  # "scan" or "default"
 
 
-def _edge_samples(length, step0):
-    """Samples on one boundary edge of the given length, its end excluded."""
-    return max(2, int(length / step0) + 1)
-
-
-def _boundary_points(rect, step0):
-    """Counterclockwise samples of rect's boundary about step0 apart,
-    closed by a repeat of the first corner."""
-    loop = list(rect.corners) + [rect.corners[0]]
-    pts = []
-    for a, b in zip(loop, loop[1:]):
-        n = _edge_samples(abs(b - a), step0)
-        pts.extend(a + (b - a) * np.arange(n) / n)
-    pts.append(loop[0])
-    return np.array(pts, dtype=complex)
-
-
-def _winding_eval(F, tally=None):
-    """Boundary evaluator: (phase carriers, log magnitudes) per point batch.
-
-    F = u exp(g) with g real, so u carries the phase and the magnitude
-    stays finite however far left the contour reaches.  A tally dict, if
-    given, counts the points and the calls.
-    """
-    def ev(pts):
-        if tally is not None:
-            tally["points"] += pts.size
-            tally["rounds"] += 1
-        u, g = eval_F_scaled_batch(F, pts, _REL_TOL)
-        with np.errstate(divide="ignore"):
-            return u, np.log(np.abs(u)) + g
-    return ev
+def _edge_points(a, b, step0):
+    """Initial samples of the edge from a to b, both ends included, at
+    most step0 apart and at least three."""
+    n = max(2, int(abs(b - a) / step0) + 1)
+    pts = a + (b - a) * np.arange(n + 1) / n
+    pts[-1] = b
+    return pts
 
 
 def _phase_diffs(vals):
-    """Phase change along each segment of a sample loop, in [-pi, pi)."""
+    """Phase change along each segment of a sample path, in [-pi, pi)."""
     d = np.diff(np.angle(vals))
     return (d + np.pi) % (2 * np.pi) - np.pi
 
 
-def _phase_step(pts, vals, lm):
-    """One refinement round of a closed sample loop: (turns, None) once
-    every phase step is below pi/2, else (None, indices of the segments to
-    halve).  Raises BoundaryTooClose or PhaseUnresolved."""
-    # guard against contour samples sitting on a zero, judged against
-    # the local magnitude (the global range spans many orders)
-    ring = np.concatenate((lm[-1:], lm, lm[:1]))
-    local = np.maximum(ring[:-2], ring[2:])
-    if np.any(lm < math.log(_MIN_BOUNDARY) + local):
-        raise BoundaryTooClose(
-            "expression magnitude on the contour drops below the guard"
-        )
-    d = _phase_diffs(vals)
-    bad = np.abs(d) > np.pi / 2
-    if not bad.any():
-        w = float(d.sum()) / (2 * np.pi)
-        if abs(w - round(w)) > _SNAP:
-            raise PhaseUnresolved(
-                f"accumulated phase {w:.3f} turns is not within {_SNAP} "
-                "of an integer"
-            )
-        return int(round(w)), None
-    if pts.size > _MAX_SAMPLES:
-        raise PhaseUnresolved(
-            f"needed more than {_MAX_SAMPLES} boundary samples"
-        )
-    idx = np.nonzero(bad)[0]
-    # a phase jump that survives down to tiny segments means a zero
-    # sits on (or hugs) the contour; bisection cannot resolve it
-    if np.any(np.abs(pts[idx + 1] - pts[idx]) < _MIN_SEG):
-        raise BoundaryTooClose(
-            "phase jump unresolved at segment length below "
-            f"{_MIN_SEG}; a zero lies on or next to the contour"
-        )
-    return None, idx
+def _refine(ev, edges, step0):
+    """Per straight edge (a, b): (delta arg, samples, phase carriers, log
+    magnitudes), or the error that ended it.
 
-
-def _zero_moments(pts, vals, lm, w, c, h, p):
-    """(n, s) for a refined loop of winding w that encloses a pole of
-    order p at s = 1: its n = w + p zeros rho and their moments
-    s_k = sum ((rho - c) / h)^k for k < 2n.
-
-    s_k = (1/2 pi i) loop-integral of x^k dlog F, x = (z - c) / h, plus
-    p x(1)^k for the pole; each segment adds x(midpoint)^k times its
-    change of log F, Delta lm + i Delta arg.  lm carries g, so the sum
-    holds on the scaled far-left path too.  Scaling by the box's centre c
-    and half-diameter h keeps |x| <= 1.
+    All edges are refined as one flat array of segments: the first round
+    evaluates each distinct sample once (edges share their ends), and
+    each round after halves every segment whose phase step exceeds pi/2,
+    all midpoints in one call of ev.  BoundaryTooClose when |F| drops by more than _MIN_BOUNDARY
+    across a segment (judged against the neighbour, as |F| spans many
+    orders along an edge) or a bad segment is shorter than _MIN_SEG;
+    PhaseUnresolved past _MAX_SAMPLES samples on the edge.
     """
-    n = w + p
-    k = np.arange(max(2 * n, 0))
-    dlog = (np.diff(lm) + 1j * _phase_diffs(vals)) / (2j * np.pi)
-    x = ((pts[:-1] + pts[1:]) / 2 - c) / h
-    s = (x[:, None] ** k * dlog[:, None]).sum(axis=0)
-    return n, s + p * ((1 - c) / h) ** k
+    out = [None] * len(edges)
+    if not edges:
+        return out
+    parts = [_edge_points(a, b, step0) for a, b in edges]
+    eid = np.repeat(np.arange(len(edges)), [p.size for p in parts])
+    z = np.concatenate(parts)
+    distinct, back = np.unique(z, return_inverse=True)
+    u, lm = (x[back] for x in ev(distinct))
+    while eid.size:
+        seg = eid[:-1]
+        own = seg == eid[1:]  # the segment joins two samples of one edge
+        d = _phase_diffs(u)
+        bad = own & (np.abs(d) > np.pi / 2)
 
+        def per_edge(mask, weights=None):
+            return np.bincount(seg[mask], weights, minlength=len(edges))
 
-def _track_windings(ev, loops, frames=None):
-    """Turns around each closed sample loop of the function ev evaluates,
-    all loops in lockstep.
-
-    Each loop is refined at its bad segments until its phase steps are
-    below pi/2, with its own guards and sample budget; the samples of all
-    loops, and then in each round the midpoints of all unfinished loops,
-    go to ev in one call.  Returns one entry per loop: its winding number,
-    or the BoundaryTooClose or PhaseUnresolved that ended it.  With
-    frames, one (c, h, p) per loop, a finished loop's entry is instead the
-    (n, s) of _zero_moments over its final samples, at no extra points.
-    """
-    def split(parts, arrays):
-        cuts = np.cumsum([p.size for p in parts])[:-1]
-        return zip(*(np.split(x, cuts) for x in arrays))
-
-    out = [None] * len(loops)
-    first = split(loops, ev(np.concatenate(loops)))
-    # loop index -> (samples, phase carriers, log magnitudes)
-    live = {i: (pts, *ev_pts) for i, (pts, ev_pts) in enumerate(zip(loops, first))}
-    while live:
-        halve = {}
-        for i, (pts, vals, lm) in live.items():
-            try:
-                w, idx = _phase_step(pts, vals, lm)
-            except (BoundaryTooClose, PhaseUnresolved) as e:
-                out[i] = e
-                continue
-            if idx is not None:
-                halve[i] = idx
-            elif frames is None:
-                out[i] = w
+        drop = np.abs(np.diff(lm)) > -math.log(_MIN_BOUNDARY)
+        grazed = per_edge(own & drop) > 0
+        jumps = per_edge(bad) > 0
+        short = per_edge(bad & (np.abs(np.diff(z)) < _MIN_SEG)) > 0
+        darg = per_edge(own, d[own])
+        size = np.bincount(eid, minlength=len(edges))
+        ends = grazed | ~jumps | (size > _MAX_SAMPLES) | short
+        for e in np.flatnonzero(ends & (size > 0)):
+            lo, hi = np.searchsorted(eid, (e, e + 1))
+            if grazed[e]:
+                out[e] = BoundaryTooClose(
+                    "expression magnitude on the contour drops below the guard"
+                )
+            elif not jumps[e]:
+                out[e] = (darg[e], z[lo:hi], u[lo:hi], lm[lo:hi])
+            elif size[e] > _MAX_SAMPLES:
+                out[e] = PhaseUnresolved(
+                    f"needed more than {_MAX_SAMPLES} samples on one edge"
+                )
             else:
-                out[i] = _zero_moments(pts, vals, lm, w, *frames[i])
-        mids = [(live[i][0][idx] + live[i][0][idx + 1]) / 2 for i, idx in halve.items()]
-        if mids:
-            for (i, idx), mid, new in zip(halve.items(), mids,
-                                          split(mids, ev(np.concatenate(mids)))):
-                live[i] = tuple(np.insert(x, idx + 1, y)
-                                for x, y in zip(live[i], (mid, *new)))
-        live = {i: live[i] for i in halve}
+                # a phase jump that survives down to tiny segments means a
+                # zero sits on (or hugs) the edge; bisection cannot resolve it
+                out[e] = BoundaryTooClose(
+                    "phase jump unresolved at segment length below "
+                    f"{_MIN_SEG}; a zero lies on or next to the contour"
+                )
+        idx = np.flatnonzero(bad & ~ends[seg])
+        if idx.size:
+            mid = (z[idx] + z[idx + 1]) / 2
+            z, u, lm, eid = (np.insert(x, idx + 1, y) for x, y in
+                             zip((z, u, lm, eid), (mid, *ev(mid), eid[idx])))
+        keep = ~ends[eid]
+        z, u, lm, eid = z[keep], u[keep], lm[keep], eid[keep]
     return out
 
 
-def _windings(F, rects, step0=_STEP0, tally=None, moments=False):
-    """_track_windings over the boundaries of rects, one entry per rect.
+def _sides(pos, cell):
+    """The edges of cell (left, right, bottom, top), indices into pos, as
+    (start, end, line, sign): left to right or upwards, so cells that share
+    an edge name it alike, and sign orients it counterclockwise."""
+    l, r, b, t = cell
+    sw, se = complex(pos[l], pos[b]), complex(pos[r], pos[b])
+    nw, ne = complex(pos[l], pos[t]), complex(pos[r], pos[t])
+    return ((sw, se, b, 1), (se, ne, r, 1), (nw, ne, t, -1), (sw, nw, l, -1))
 
-    With moments, each entry is the (n, s) of _zero_moments in the frame
-    of its rect (centre, half-diameter), which counts zeros only: the pole
-    of F at s = 1, when inside, is added back to the winding and to the
-    moments alike.
+
+def _zero_moments(F, rect, edges, w):
+    """(n, s) for rect, of winding w around it: its n = w + p zeros rho,
+    p the order of a pole of F at s = 1 inside it, and their moments
+    s_k = sum ((rho - c) / h)^k for k < 2n.
+
+    s_k = (1/2 pi i) loop-integral of x^k dlog F, x = (z - c) / h, plus
+    p x(1)^k for the pole; each segment of the final samples of the
+    edges, (sign, _refine entry) counterclockwise, adds x(midpoint)^k
+    times its change of log F, Delta lm + i Delta arg.  lm carries g, so
+    the sum holds on the scaled far-left path too.  Scaling by rect's
+    centre c and half-diameter h keeps |x| <= 1.
     """
-    loops = [_boundary_points(r, step0) for r in rects]
-    frames = None
-    if moments:
-        inside = [r.contains(1 + 0j) for r in rects]
-        p_F = _expr.pole_order(F) if any(inside) else 0
-        frames = [(r.center, r.diameter / 2, p_F if pole else 0)
-                  for r, pole in zip(rects, inside)]
-    return _track_windings(_winding_eval(F, tally), loops, frames)
+    p = _expr.pole_order(F) if rect.contains(1 + 0j) else 0
+    c, h = rect.center, rect.diameter / 2
+    n = w + p
+    k = np.arange(max(2 * n, 0))
+    x = np.concatenate([(z[:-1] + z[1:]) / 2 for _, (_, z, _, _) in edges])
+    dlog = np.concatenate([sign * (np.diff(lm) + 1j * _phase_diffs(u))
+                           for sign, (_, _, u, lm) in edges]) / (2j * np.pi)
+    s = (((x - c) / h)[:, None] ** k * dlog[:, None]).sum(axis=0)
+    return n, s + p * ((1 - c) / h) ** k
 
 
-def _first_error(results):
-    """results, unless an entry is an exception: then the first of those
-    is raised."""
-    for r in results:
-        if isinstance(r, Exception):
-            raise r
-    return results
+def _turns(F, rect, edges, moments):
+    """Winding around rect from its edges, (sign, _refine entry)
+    counterclockwise, or the first error among them; with moments the
+    (n, s) of _zero_moments."""
+    for _, e in edges:
+        if isinstance(e, Exception):
+            return e
+    w = sum(sign * e[0] for sign, e in edges) / (2 * np.pi)
+    if abs(w - round(w)) > _SNAP:
+        return PhaseUnresolved(
+            f"accumulated phase {w:.3f} turns is not within {_SNAP} "
+            "of an integer"
+        )
+    return _zero_moments(F, rect, edges, round(w)) if moments else round(w)
+
+
+def _wind(F, at, cells, moves=(), moments=False, step0=_STEP0, done=None,
+          tally=None):
+    """(winding, rectangle used) for each cell (left, right, bottom, top)
+    of indices into at, the positions of the lines the cells' sides lie on.
+
+    Each distinct edge is refined once (_refine), and a cell's winding is
+    the signed sum of its edges' phase changes, snapped to an integer; with
+    moments, the (n, s) of _zero_moments.  The one retry rule: a line in
+    moves whose edge grazes a zero (BoundaryTooClose) goes to its position
+    plus the next of _OFFSETS times its gap, the least extent across it of
+    the cells it bounds, and those cells are wound again.  Any other error,
+    or the offsets running out, ends a cell: its winding is that error.
+    done maps edges to _refine entries, is filled in, and may be passed in
+    to reuse edges; tally counts points, rounds and moved lines.
+    """
+    done = {} if done is None else done
+    tally = Counter() if tally is None else tally
+
+    def ev(pts):
+        # F = u exp(g) with g real: u carries the phase, and the log
+        # magnitude stays finite however far left the contour reaches
+        tally["points"] += pts.size
+        tally["rounds"] += 1
+        u, g = eval_F_scaled_batch(F, pts, _REL_TOL)
+        with np.errstate(divide="ignore"):
+            return u, np.log(np.abs(u)) + g
+
+    gap = {}
+    for l, r, b, t in cells:
+        for line, size in ((l, at[r] - at[l]), (r, at[r] - at[l]),
+                           (b, at[t] - at[b]), (t, at[t] - at[b])):
+            gap[line] = min(gap.get(line, size), size)
+    tries = dict.fromkeys(moves, 0)
+    while True:
+        pos = [x + _OFFSETS[tries.get(i, 0)] * gap.get(i, 0.0)
+               for i, x in enumerate(at)]
+        sides = [_sides(pos, cell) for cell in cells]
+        new = list(dict.fromkeys(e[:2] for s in sides for e in s
+                                 if e[:2] not in done))
+        done.update(zip(new, _refine(ev, new, step0)))
+        grazed = {line for s in sides for a, b, line, _ in s
+                  if isinstance(done[a, b], BoundaryTooClose)
+                  and line in tries and tries[line] + 1 < len(_OFFSETS)}
+        if not grazed:
+            break
+        for line in grazed:
+            tries[line] += 1
+    tally["moved"] += sum(k > 0 for k in tries.values())
+    out = []
+    for cell, s in zip(cells, sides):
+        rect = Rectangle(*(pos[i] for i in cell))
+        edges = [(sign, done[a, b]) for a, b, _, sign in s]
+        out.append((_turns(F, rect, edges, moments), rect))
+    return out
+
+
+def _wind_each(F, rects, moments=False):
+    """_wind over rects, each on four lines of its own that all may move."""
+    at = [x for r in rects for x in (r.sigma_lo, r.sigma_hi, r.t_lo, r.t_hi)]
+    cells = [range(i, i + 4) for i in range(0, len(at), 4)]
+    return _wind(F, at, cells, range(len(at)), moments)
+
+
+def _first_error(wound):
+    """wound, (winding, rectangle) entries, unless a winding is an
+    exception: then the first of those is raised."""
+    for w, _ in wound:
+        if isinstance(w, Exception):
+            raise w
+    return wound
 
 
 def winding_count(F, rect: Rectangle, step0=_STEP0):
     """Z - P of F inside rect by boundary phase accumulation.
 
     Counterclockwise boundary, adaptive sample insertion where consecutive
-    phase increments exceed pi/2, integer snap within 0.1 turns.
+    phase increments exceed pi/2, integer snap within 0.1 turns.  No side
+    moves: a boundary that grazes a zero raises BoundaryTooClose.
     """
-    return _first_error(_windings(F, [rect], step0))[0]
+    at = (rect.sigma_lo, rect.sigma_hi, rect.t_lo, rect.t_hi)
+    [(w, _)] = _first_error(_wind(F, at, [range(4)], step0=step0))
+    return w
 
 
-def _windings_jittered(F, rects, tally=None, moments=False):
-    """(winding, rectangle used) per rectangle, the winding an _windings
-    entry; a rectangle whose contour grazes a zero is nudged through
-    _SHIFTS, and all rectangles still unresolved retry together.  An entry
-    is the exception that ended its rectangle instead: PhaseUnresolved, or
-    the last BoundaryTooClose when no shift helps."""
-    out = [None] * len(rects)
-    todo = list(range(len(rects)))
-    for dz in _SHIFTS:
-        used = [rects[i].shifted(dz) for i in todo]
-        retry = []
-        for i, r, w in zip(todo, used,
-                           _windings(F, used, tally=tally, moments=moments)):
-            out[i] = w if isinstance(w, Exception) else (w, r)
-            if isinstance(w, BoundaryTooClose):
-                retry.append(i)
-        if not retry:
-            break
-        todo = retry
-    return out
-
-
-def _wind_block(F, rects, moments=False):
-    """_windings_jittered over a block of bands, logged as one record."""
-    tally = {"points": 0, "rounds": 0}
-    out = _windings_jittered(F, rects, tally, moments)
-    nudged = sum(1 for r, w in zip(rects, out)
-                 if not isinstance(w, Exception) and w[1] != r)
+def _wind_block(F, strip, ys, done, moments):
+    """_wind over the bands [E1, E2] x [ys[i], ys[i + 1]] of one block,
+    logged as one record.  Band heights are the lines that may move,
+    except ys[0] when done already holds its edge, wound by the block
+    before."""
+    tally = Counter()
+    at = [strip.E1, strip.E2, *ys]
+    cells = [(0, 1, j, j + 1) for j in range(2, len(at) - 1)]
+    out = _wind(F, at, cells, range(2 + bool(done), len(at)), moments,
+                done=done, tally=tally)
     log.debug(
         "bands %.3f < t < %.3f: %d bands, %d contour points, "
-        "%d evaluation rounds, %d nudged", rects[0].t_lo, rects[-1].t_hi, len(rects),
-        tally["points"], tally["rounds"], nudged,
+        "%d evaluation rounds, %d lines moved", out[0][1].t_lo,
+        out[-1][1].t_hi, len(cells), tally["points"], tally["rounds"],
+        tally["moved"],
     )
     return out
 
@@ -409,15 +413,15 @@ def _record(z, multiplicity, residual, rect, method, start, steps):
     return ZeroRecord(z, multiplicity, residual, rect, method)
 
 
-def _quadrisect(rect, fx=0.5, fy=0.5):
-    xm = rect.sigma_lo + fx * (rect.sigma_hi - rect.sigma_lo)
-    ym = rect.t_lo + fy * (rect.t_hi - rect.t_lo)
-    return [
-        Rectangle(rect.sigma_lo, xm, rect.t_lo, ym),
-        Rectangle(xm, rect.sigma_hi, rect.t_lo, ym),
-        Rectangle(rect.sigma_lo, xm, ym, rect.t_hi),
-        Rectangle(xm, rect.sigma_hi, ym, rect.t_hi),
-    ]
+def _quadrisect(F, rect):
+    """The four quarters of rect, wound with moments (_wind).  Its two cut
+    lines, each shared by the quarters on either side, move when they
+    graze a zero; rect's own sides stay."""
+    at = [rect.sigma_lo, rect.sigma_lo + 0.5 * (rect.sigma_hi - rect.sigma_lo),
+          rect.sigma_hi, rect.t_lo, rect.t_lo + 0.5 * (rect.t_hi - rect.t_lo),
+          rect.t_hi]
+    cells = [(0, 1, 3, 4), (1, 2, 3, 4), (0, 1, 4, 5), (1, 2, 4, 5)]
+    return _wind(F, at, cells, (1, 4), moments=True)
 
 
 def locate_zeros(F, rect: Rectangle, wound=None):
@@ -427,14 +431,15 @@ def locate_zeros(F, rect: Rectangle, wound=None):
     The winding of a box brings its zero count n and the moments of its
     zeros (_zero_moments); Newton runs from each eigenvalue of their Hankel
     pencil (_starts).  A box that yields n distinct zeros inside it is
-    done; any other is quadrisected, each sub-box with its own moments,
+    done; any other is quadrisected, each quarter with its own moments,
     until it shrinks below _ISOLATION_TOL, so clustered zeros surface as
-    one record with multiplicity.  wound is rect's
-    ((n, s), rectangle used) when already wound with moments, as
-    _windings_jittered gives it.
+    one record with multiplicity.  wound is rect's ((n, s), rectangle used)
+    when already wound with moments, as _wind gives it; else rect is wound
+    here, its sides free to move (_wind), and the zeros are those inside
+    the rectangle used.
     """
     if wound is None:
-        wound = _first_error(_windings_jittered(F, [rect], moments=True))[0]
+        [wound] = _first_error(_wind_each(F, [rect], moments=True))
     (n, s), rect = wound
     out = []
     _locate_rec(F, rect, n, s, out, 0)
@@ -450,17 +455,6 @@ def locate_zeros(F, rect: Rectangle, wound=None):
         else:
             merged.append(rec)
     return merged
-
-
-def _locate_block(F, rects):
-    """locate_zeros over a block of bands wound in lockstep: one zero list
-    per band, and the first error in band order raised."""
-    out = []
-    for rect, wound in zip(rects, _wind_block(F, rects, moments=True)):
-        if isinstance(wound, Exception):
-            raise wound
-        out.append(locate_zeros(F, rect, wound))
-    return out
 
 
 def _locate_rec(F, rect, n, s, out, depth):
@@ -479,19 +473,12 @@ def _locate_rec(F, rect, n, s, out, depth):
         return
     if depth > 60:
         raise NonConvergence("subdivision depth exhausted", box=rect)
+    try:
+        quarters = _first_error(_quadrisect(F, rect))
+    except BoundaryTooClose:
+        raise NonConvergence("no clean subdivision line", box=rect)
     remaining = n
-    fracs = [(0.5, 0.5), (0.513, 0.487), (0.461, 0.533)]
-    for i, fr in enumerate(fracs):
-        # the four sub-boxes wind in one call; the first failure in box
-        # order decides, as if they were wound one after another
-        subs = _quadrisect(rect, *fr)
-        try:
-            ws = _first_error(_windings(F, subs, moments=True))
-            break
-        except BoundaryTooClose:
-            if i == len(fracs) - 1:
-                raise NonConvergence("no clean subdivision line", box=rect)
-    for sub, (sn, ss) in zip(subs, ws):
+    for (sn, ss), sub in quarters:
         if sn > 0:
             _locate_rec(F, sub, sn, ss, out, depth + 1)
         remaining -= sn
@@ -603,59 +590,71 @@ def _band_edges(T1, T2, seed):
     return edges
 
 
-def _map_bands(T1, T2, strip, fn, parallelism, seed):
-    """fn applied to blocks of consecutive unit bands [E1, E2] x [a, b] of
-    the window (T1, T2), on up to parallelism threads; one result per band,
-    in band order.
+def _map_bands(F, T1, T2, strip, fn, parallelism, seed, moments=False):
+    """fn of each unit band [E1, E2] x [a, b] of the window (T1, T2) as
+    wound by _wind, with moments if asked; one result per band, in order.
 
-    fn takes a list of bands and returns one result per band.  A block
-    holds the bands whose initial contour samples fit in _BLOCK_POINTS, at
-    least one, so the blocks and the results do not depend on parallelism
-    or scheduling.  A band's sample count is that of _boundary_points.  A
-    block is one kernel batch per refinement round: at _BLOCK_POINTS = 2250
-    50 zeta bands of 45 samples share each call, and the kernel's row
-    chunks keep its memory flat at that size.
+    Blocks of bands wind one after another (_wind_block), each from the
+    height, and the wound edge, where the block before ended, so the bands
+    tile the window however their heights move.  A block holds the bands
+    whose initial samples fit in _BLOCK_POINTS, at least one: one kernel
+    batch per refinement round, which the kernel's row chunks keep flat in
+    memory.  fn runs over each block on up to parallelism threads while
+    later blocks wind; a block's first winding error is raised before fn
+    sees its bands.  Blocks and results do not depend on parallelism.
     """
     if T2 > MAX_HEIGHT:
         raise ValueError(f"height {T2} exceeds the desk-scale cap {MAX_HEIGHT}")
     if not T2 > T1 >= 0:
         raise ValueError("need 0 <= T1 < T2")
-    edges = _band_edges(T1, T2, seed)
+    heights = _band_edges(T1, T2, seed)
+    across = _edge_points(strip.E1, strip.E2, _STEP0).size
     blocks, size = [], _BLOCK_POINTS
-    for a, b in zip(edges, edges[1:]):
-        r = Rectangle(strip.E1, strip.E2, a, b)
-        n = 1 + 2 * (_edge_samples(r.sigma_hi - r.sigma_lo, _STEP0)
-                     + _edge_samples(r.t_hi - r.t_lo, _STEP0))
+    for a, b in zip(heights, heights[1:]):
+        n = across + 2 * _edge_points(a, b, _STEP0).size
         if size + n > _BLOCK_POINTS:
-            blocks.append([])
+            blocks.append([a])
             size = 0
-        blocks[-1].append(r)
+        blocks[-1].append(b)
         size += n
+
+    def wound_blocks():
+        done, top = {}, heights[0]
+        for ys in blocks:
+            wound = _wind_block(F, strip, [top, *ys[1:]], done, moments)
+            top = wound[-1][1].t_hi
+            key = (complex(strip.E1, top), complex(strip.E2, top))
+            done = {key: done[key]}
+            yield wound
+
+    def run(wound):
+        return [fn(x) for x in _first_error(wound)]
+
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as ex:
-            done = list(ex.map(fn, blocks))
+            parts = list(ex.map(run, wound_blocks()))
     else:
-        done = [fn(b) for b in blocks]
-    return [x for block in done for x in block]
+        parts = [run(w) for w in wound_blocks()]
+    return [x for part in parts for x in part]
 
 
 def count_nontrivial(F, T1, T2, strip=None, profile=None, parallelism=1,
                      seed=0):
     """Number of zeros of F with E1 <= sigma <= E2 and T1' < t < T2.
 
-    Unit-height winding bands with seeded edge jitter, wound in lockstep
-    blocks and summed in band order so the result is independent of
-    scheduling.  When bands fail, the error of the first is raised.
+    Unit-height winding bands with seeded edge jitter, each height's edge
+    shared by the bands on either side, wound in blocks and summed in band
+    order so the result is independent of scheduling.  A height whose edge
+    grazes a zero moves, and the bands report the heights used.  When
+    bands fail, the error of the first is raised.
     """
     if profile is None:
         profile = _expr.degree_profile(F)
     if strip is None:
         strip = zero_free_bounds(F, profile)
 
-    def run_block(rects):
-        return [BandReport(used.t_lo, used.t_hi, w)
-                for w, used in _first_error(_wind_block(F, rects))]
-
-    bands = _map_bands(T1, T2, strip, run_block, parallelism, seed)
+    bands = _map_bands(F, T1, T2, strip,
+                       lambda w: BandReport(w[1].t_lo, w[1].t_hi, w[0]),
+                       parallelism, seed)
     total = sum(b.count for b in bands)
     return CountResult(total=total, bands=bands, strip=strip)

@@ -337,20 +337,20 @@ def test_em_bounds_high(s, a):
             assert abs(C[l, 0] - complex(ref)) <= trunc[l, 0] + rnd[l, 0], l
 
 
-# real winding batches: the contours of adjacent zeta bands near t = 1900
-# share their abscissae and, edge by edge, their heights, which the main
-# sum evaluates once each.  Three bands fit one row chunk, and every entry
-# must match a one-point call; sixty bands span several row chunks, and the
-# entries on both sides of every chunk boundary must.  A few entries of
-# each are checked against mpmath
+# real winding batches: the distinct first samples of the edges of adjacent
+# zeta bands near t = 1900 share their abscissae and, edge by edge, their
+# heights, which the main sum evaluates once each.  Three bands fit one row
+# chunk, and every entry must match a one-point call; ninety bands span
+# several row chunks, and the entries on both sides of every chunk boundary
+# must.  A few entries of each are checked against mpmath
 @pytest.mark.parametrize("lmax", [0, 2])
 def test_em_contour_batch(lmax):
-    for nbands in (3, 60):
-        edges = Z._band_edges(1899.5, 1900.5 + 1.1 * nbands, 0)[: nbands + 1]
-        S = np.concatenate([
-            Z._boundary_points(Z.Rectangle(-1.0, 3.0, lo, hi), Z._STEP0)
-            for lo, hi in zip(edges, edges[1:])
-        ])
+    for nbands in (3, 90):
+        at = [-1.0, 3.0, *Z._band_edges(1899.5, 1900.5 + 1.1 * nbands, 0)]
+        cells = [(0, 1, j, j + 1) for j in range(2, nbands + 2)]
+        edges = dict.fromkeys(e[:2] for c in cells for e in Z._sides(at, c))
+        S = np.unique(np.concatenate([Z._edge_points(a, b, Z._STEP0)
+                                      for a, b in edges]))
         assert np.unique(S.imag).size < S.size / 2
         C, trunc, rnd = ev._hurwitz_batch(S, 1.0, lmax)
         R = ev._BLOCK // max(16, ev._BLOCK // S.size)
