@@ -25,13 +25,11 @@ class CountReport:
     strip: _zeros.StripBounds
 
 
-def verify_count(F, T, profile=None, strip=None, parallelism=1, seed=0) -> CountReport:
+def verify_count(F, T, profile=None, strip=None, seed=0) -> CountReport:
     """Empirical zero count over (0, T) against the predicted main term."""
     if profile is None:
         profile = _expr.degree_profile(F)
-    res = _zeros.count_nontrivial(
-        F, 0, T, strip=strip, profile=profile, parallelism=parallelism, seed=seed
-    )
+    res = _zeros.count_nontrivial(F, 0, T, strip=strip, profile=profile, seed=seed)
     predicted = _expr.predicted_count(F, T, profile)
     slack = abs(res.total - predicted) / math.log(T)
     return CountReport(
@@ -45,22 +43,19 @@ def verify_count(F, T, profile=None, strip=None, parallelism=1, seed=0) -> Count
     )
 
 
-def zero_list(F, T1, T2, strip=None, profile=None, parallelism=1, seed=0):
+def zero_list(F, T1, T2, strip=None, profile=None, seed=0):
     """Located zeros with T1 < gamma < T2, band by band, sorted by height.
 
     Bands are wound in blocks, as in count_nontrivial, and zeros are
-    isolated in the bands that wind; seed jitters the band edges.
+    isolated in each band as it comes; seed jitters the band edges.
     """
     if profile is None:
         profile = _expr.degree_profile(F)
     if strip is None:
         strip = _zeros.zero_free_bounds(F, profile)
 
-    chunks = _zeros._map_bands(
-        F, T1, T2, strip, lambda wound: _zeros.locate_zeros(F, wound[1], wound),
-        parallelism, seed, moments=True,
-    )
-    out = [z for chunk in chunks for z in chunk if T1 < z.gamma < T2]
+    out = [z for wound in _zeros._wound_bands(F, T1, T2, strip, seed, moments=True)
+           for z in _zeros.locate_zeros(F, wound[1], wound) if T1 < z.gamma < T2]
     out.sort(key=lambda z: (z.gamma, z.beta))
     return out
 

@@ -2,8 +2,8 @@
 
 Each subcommand reads an expression file, runs one experiment, prints a
 short table, and writes a JSON and a CSV artifact into the output
-directory.  Outputs are deterministic for a fixed config and seed, byte
-for byte, regardless of the parallelism width.  Exit codes: 0 success,
+directory.  lfpoly runs on one thread, and outputs are deterministic for
+a fixed config and seed, byte for byte.  Exit codes: 0 success,
 1 numeric failure, 2 usage or parse error.
 """
 
@@ -93,7 +93,7 @@ def cmd_analyze(args):
 
 def cmd_zeros(args):
     zs = analysis.zero_list(exprfile.load(args.file), args.T1, args.T2,
-                            parallelism=args.parallelism, seed=args.seed)
+                            seed=args.seed)
     header = ["beta", "gamma", "multiplicity", "residual"]
     rows = [[z.beta, z.gamma, z.multiplicity, z.residual] for z in zs]
     doc = {"T1": args.T1, "T2": args.T2,
@@ -104,7 +104,7 @@ def cmd_zeros(args):
 
 def cmd_count(args):
     rep = analysis.verify_count(exprfile.load(args.file), args.T,
-                                parallelism=args.parallelism, seed=args.seed)
+                                seed=args.seed)
     header = ["tLo", "tHi", "count"]
     rows = [[b.t_lo, b.t_hi, b.count] for b in rep.bands]
     doc = {
@@ -129,8 +129,7 @@ def cmd_count(args):
 
 def cmd_cluster(args):
     rep = analysis.clustering_counts(
-        exprfile.load(args.file), args.delta, args.T, T2=args.T2,
-        parallelism=args.parallelism, seed=args.seed,
+        exprfile.load(args.file), args.delta, args.T, T2=args.T2, seed=args.seed,
     )
     doc = {
         "delta": rep.delta,
@@ -211,7 +210,7 @@ def cmd_fecheck(args):
 
 def cmd_verify(args):
     rep = analysis.verify_count(exprfile.load(args.file), args.T,
-                                parallelism=args.parallelism, seed=args.seed)
+                                seed=args.seed)
     ok = rep.slack <= args.slack
     doc = {
         "T": rep.T,
@@ -255,8 +254,8 @@ def _build_parser():
         sp.add_argument("-o", "--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for contour jitter")
-        sp.add_argument("--parallelism", type=int, default=1,
-                        help="band execution width")
+        sp.add_argument("--parallelism", type=int, default=1, choices=(1,),
+                        help="lfpoly runs on one thread; only 1 is accepted")
         sp.add_argument("--plot-data", action="store_true",
                         help="also write <command>_plot.csv, an (x, y) "
                         "series (count, zeros, audit and fecheck)")
@@ -312,7 +311,9 @@ def _build_parser():
 def _parse(parser, argv):
     """Parse argv; a --config file's keys become long flags placed right
     after the command name, so argparse types them, a flag on the command
-    line wins, and an unknown key or a bad value is a usage error."""
+    line wins, and an unknown key or a bad value is a usage error.  true
+    turns a switch on and false leaves it as it is; false for any other
+    key is a bad value."""
     args = parser.parse_args(argv)
     if args.config is None:
         return args
@@ -323,8 +324,11 @@ def _parse(parser, argv):
         parser.error(f"cannot read config file {args.config}: {e}")
     if not isinstance(cfg, dict):
         parser.error("config file must hold a JSON object")
+    # a switch is an option whose parsed value is a bool
     flags = [f"--{k.replace('_', '-')}" + ("" if v is True else f"={v}")
-             for k, v in cfg.items()]
+             for k, v in cfg.items()
+             if not (v is False and isinstance(
+                 getattr(args, k.replace("-", "_"), None), bool))]
     return parser.parse_args(argv[:1] + flags + argv[1:])
 
 

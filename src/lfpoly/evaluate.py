@@ -455,16 +455,16 @@ def _digamma(z):
 
 
 def _fe_series(desc, W, n):
-    """(Phi, mass, G): Phi(W - e) = exp(G) sum_j Phi[j] e^j for the factor
-    of log_fe_factor, with mass[j] >= |Phi[j]| the absolute mass that the
-    rounding of Phi[j] scales with.
+    """(Phi, mass, G): Phi(W - e) = exp(G) sum_j Phi[j] e^j, where Phi is
+    the reflection factor, L(1 - s, dual) = Phi(s) L(s, pi), and mass[j] >=
+    |Phi[j]| is the absolute mass that the rounding of Phi[j] scales with.
 
     Phi is exp of a smooth part times cosines.  The smooth part's Taylor
     coefficients are _loggamma, _digamma and, for j >= 2, (1/2)^j
     zeta(j, z) / j at each Gamma argument z; they are exponentiated as a
     series.  Each cosine is expanded directly, cos(a - x) = cos a cos x +
     sin a sin x, scaled by exp(-|Im a|), so a zero of Phi (a trivial zero
-    of the dual) costs nothing.  Needs Re W > 3.
+    of the dual) costs nothing.  Orders j >= 2 need Re W > 3.
     """
     # lam[j]: Taylor coefficients in e of the smooth part of log Phi(W - e)
     lam = np.zeros((n, W.size), dtype=complex)
@@ -644,28 +644,15 @@ def eval_F_scaled_batch(F, S, rel_tol=1e-9):
 
 # --- functional-equation pieces ------------------------------------------
 
-def _log_cos(z):
-    """log cos(z) over an array, up to a multiple of 2 pi i, stable for
-    large |Im z|."""
-    small = np.abs(z.imag) < 20
-    # cos z = e^{-iw} (1 + e^{2iw}) / 2 with w = +-z chosen so Im w >= 0
-    w = np.where(z.imag > 0, z, -z)
-    with np.errstate(divide="ignore"):
-        big = -1j * w - math.log(2) + np.log(1 + np.exp(2j * w))
-    return np.where(small, np.log(np.cos(np.where(small, z, 0))), big)
-
-
 def log_fe_factor(desc: LFunctionDescriptor, s):
-    """log of the factor Phi with L(1 - s, dual) = Phi(s) L(s, pi).
+    """log of the factor Phi with L(1 - s, dual) = Phi(s) L(s, pi), up to a
+    multiple of 2 pi i: G + log Phi[0] of _fe_series.
 
-    Takes a point or an array of points.  Assembled in log space from
-    _loggamma and a shifted log-cosine so the pieces stay finite at heights
-    where each factor alone overflows.
+    Takes a point or an array of points.
     """
-    z = np.atleast_1d(np.asarray(s, dtype=complex))
-    out = _log_fe_smooth(desc, z)
-    for mu in desc.spectral_params:
-        out += _log_cos(math.pi * (z - complex(mu).conjugate()) / 2)
+    Phi, _, G = _fe_series(desc, np.asarray(s, dtype=complex).reshape(-1), 1)
+    with np.errstate(divide="ignore"):
+        out = G + np.log(Phi[0])
     # a scalar point gives a scalar, an array an array of its shape
     return out.reshape(np.shape(s))[()]
 

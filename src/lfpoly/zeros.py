@@ -12,7 +12,6 @@ import logging
 import math
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -590,18 +589,18 @@ def _band_edges(T1, T2, seed):
     return edges
 
 
-def _map_bands(F, T1, T2, strip, fn, parallelism, seed, moments=False):
-    """fn of each unit band [E1, E2] x [a, b] of the window (T1, T2) as
-    wound by _wind, with moments if asked; one result per band, in order.
+def _wound_bands(F, T1, T2, strip, seed, moments=False):
+    """The (winding, rectangle used) of each unit band [E1, E2] x [a, b] of
+    the window (T1, T2), as _wind gives it, with moments if asked; in order.
 
     Blocks of bands wind one after another (_wind_block), each from the
     height, and the wound edge, where the block before ended, so the bands
     tile the window however their heights move.  A block holds the bands
     whose initial samples fit in _BLOCK_POINTS, at least one: one kernel
     batch per refinement round, which the kernel's row chunks keep flat in
-    memory.  fn runs over each block on up to parallelism threads while
-    later blocks wind; a block's first winding error is raised before fn
-    sees its bands.  Blocks and results do not depend on parallelism.
+    memory.  A block winds once every band of the block before has been
+    taken, and its first winding error is raised before any of its bands
+    is yielded.
     """
     if T2 > MAX_HEIGHT:
         raise ValueError(f"height {T2} exceeds the desk-scale cap {MAX_HEIGHT}")
@@ -617,44 +616,30 @@ def _map_bands(F, T1, T2, strip, fn, parallelism, seed, moments=False):
             size = 0
         blocks[-1].append(b)
         size += n
-
-    def wound_blocks():
-        done, top = {}, heights[0]
-        for ys in blocks:
-            wound = _wind_block(F, strip, [top, *ys[1:]], done, moments)
-            top = wound[-1][1].t_hi
-            key = (complex(strip.E1, top), complex(strip.E2, top))
-            done = {key: done[key]}
-            yield wound
-
-    def run(wound):
-        return [fn(x) for x in _first_error(wound)]
-
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as ex:
-            parts = list(ex.map(run, wound_blocks()))
-    else:
-        parts = [run(w) for w in wound_blocks()]
-    return [x for part in parts for x in part]
+    done, top = {}, heights[0]
+    for ys in blocks:
+        wound = _first_error(_wind_block(F, strip, [top, *ys[1:]], done, moments))
+        yield from wound
+        top = wound[-1][1].t_hi
+        key = (complex(strip.E1, top), complex(strip.E2, top))
+        done = {key: done[key]}
 
 
-def count_nontrivial(F, T1, T2, strip=None, profile=None, parallelism=1,
-                     seed=0):
+def count_nontrivial(F, T1, T2, strip=None, profile=None, seed=0):
     """Number of zeros of F with E1 <= sigma <= E2 and T1' < t < T2.
 
     Unit-height winding bands with seeded edge jitter, each height's edge
-    shared by the bands on either side, wound in blocks and summed in band
-    order so the result is independent of scheduling.  A height whose edge
-    grazes a zero moves, and the bands report the heights used.  When
-    bands fail, the error of the first is raised.
+    shared by the bands on either side, wound in blocks (_wound_bands) and
+    summed in band order.  A height whose edge grazes a zero moves, and the
+    bands report the heights used.  When bands fail, the error of the first
+    is raised.
     """
     if profile is None:
         profile = _expr.degree_profile(F)
     if strip is None:
         strip = zero_free_bounds(F, profile)
 
-    bands = _map_bands(F, T1, T2, strip,
-                       lambda w: BandReport(w[1].t_lo, w[1].t_hi, w[0]),
-                       parallelism, seed)
+    bands = [BandReport(r.t_lo, r.t_hi, w)
+             for w, r in _wound_bands(F, T1, T2, strip, seed)]
     total = sum(b.count for b in bands)
     return CountResult(total=total, bands=bands, strip=strip)

@@ -123,7 +123,7 @@ def _sign_change_zero_count(T):
 
 def test_acceptance_3_zeta_count(zeta_expr, verdict):
     t0 = time.monotonic()
-    counted = int(Z.count_nontrivial(zeta_expr, 0, 100, parallelism=4))
+    counted = int(Z.count_nontrivial(zeta_expr, 0, 100))
     oracle = _sign_change_zero_count(100)
     elapsed = time.monotonic() - t0
     ok = counted == 29 == oracle and elapsed < 120
@@ -136,7 +136,7 @@ def test_acceptance_4_predicted_counts(verdict):
     details = {}
     for name, F in _family().items():
         for T in (100, 200):
-            rep = A.verify_count(F, T, parallelism=4)
+            rep = A.verify_count(F, T)
             details[(name, T)] = rep.slack
             worst = max(worst, rep.slack)
     elapsed = time.monotonic() - t0
@@ -172,7 +172,7 @@ def _levinson_montgomery_main(T):
 
 
 def test_acceptance_7_clustering(zeta_prime, verdict):
-    zs = A.zero_list(zeta_prime, 14, 200, parallelism=4)
+    zs = A.zero_list(zeta_prime, 14, 200)
     rep = A.clustering_counts(zeta_prime, 0.25, 14, T2=200, zeros=zs)
     fracs = [
         A.clustering_counts(zeta_prime, d, 14, T2=200, zeros=zs).fraction_outside
@@ -207,7 +207,7 @@ def test_acceptance_7_clustering(zeta_prime, verdict):
 
 
 def test_acceptance_8_littlewood(zeta_expr, verdict):
-    rep = A.littlewood_sum(zeta_expr, -1.0, 200, parallelism=4)
+    rep = A.littlewood_sum(zeta_expr, -1.0, 200)
     ok = rep.deviation <= 5.0
     assert verdict(8, "littlewood sum", ok), rep
 
@@ -216,16 +216,17 @@ def test_acceptance_9_determinism(tmp_path, verdict):
     src = tmp_path / "zeta.json"
     exprfile.dump(zpoly((1.0, [(0, 1)])), src)
     runs = {}
-    for tag, width in (("a", "1"), ("b", "1"), ("p8", "8")):
+    for tag, flags in (("a", ["--parallelism", "1"]),
+                       ("b", ["--parallelism", "1"]), ("bare", [])):
         out = tmp_path / tag
         rc = cli.main(["count", str(src), "-o", str(out), "--T", "50",
-                       "--seed", "3", "--parallelism", width])
+                       "--seed", "3"] + flags)
         assert rc == 0
         runs[tag] = (
             (out / "count.json").read_bytes(),
             (out / "count.csv").read_bytes(),
         )
-    ok = runs["a"] == runs["b"] == runs["p8"]
+    ok = runs["a"] == runs["b"] == runs["bare"]
     assert verdict(9, "deterministic outputs", ok)
 
 

@@ -190,14 +190,19 @@ def test_determinism_same_invocation(zeta_file, tmp_path):
 
 
 def test_determinism_across_parallelism(zeta_file, tmp_path):
+    # lfpoly runs on one thread: --parallelism 1 is the default, and any
+    # other width is a usage error
     outs = []
-    for name, width in (("p1", "1"), ("p8", "8")):
+    for name, flags in (("p1", ["--parallelism", "1"]), ("bare", [])):
         out = str(tmp_path / name)
-        assert _run(["count", zeta_file, "-o", out, "--T", "40",
-                     "--parallelism", width]) == 0
+        assert _run(["count", zeta_file, "-o", out, "--T", "40"] + flags) == 0
         with open(f"{out}/count.json", "rb") as fh:
             outs.append(fh.read())
     assert outs[0] == outs[1]
+    with pytest.raises(SystemExit) as e:
+        _run(["count", zeta_file, "-o", str(tmp_path / "p2"), "--T", "40",
+              "--parallelism", "2"])
+    assert e.value.code == 2
 
 
 def _running_counts(doc):
@@ -252,6 +257,8 @@ def test_config_defaults(zeta_file, tmp_path):
          ["--T", "40", "--slack", "0.01"]),
         ("count", {"T": "abc"}, [], None),
         ("count", {"T": 40, "Tx": 40}, [], None),
+        ("count", {"T": 30, "plot-data": False}, [], ["--T", "30"]),
+        ("count", {"T": 30, "seed": False}, [], None),
     ]
     cfg = tmp_path / "cfg.json"
     for i, (command, values, flags, same) in enumerate(cases):

@@ -257,15 +257,6 @@ def test_count_band_additivity(zeta_expr):
     assert a + b == c
 
 
-def test_count_parallel_identical(zeta_expr):
-    r1 = Z.count_nontrivial(zeta_expr, 0, 60, parallelism=1)
-    r8 = Z.count_nontrivial(zeta_expr, 0, 60, parallelism=8)
-    assert r1.total == r8.total
-    assert [(b.t_lo, b.t_hi, b.count) for b in r1.bands] == [
-        (b.t_lo, b.t_hi, b.count) for b in r8.bands
-    ]
-
-
 def test_strip_bounds_invariants(zeta_expr, zeta_prime):
     for F in (zeta_expr, zeta_prime):
         sb = Z.zero_free_bounds(F)
