@@ -10,7 +10,7 @@ import numpy as np
 
 from . import expr as _expr
 from . import zeros as _zeros
-from .errors import BOutOfRange, RegionViolation, ScanFailed
+from .errors import BOutOfRange, ScanFailed
 from .evaluate import asymptotic_fe_main, eval_F
 
 
@@ -259,7 +259,7 @@ def asymptotic_fe_check(F, sigma, t_grid, profile=None) -> FEReport:
     must match the parity of the derivative-weighted degree.
     """
     if sigma <= 1.5:
-        raise RegionViolation("need sigma > 3/2")
+        raise ValueError("sigma must exceed 3/2")
     if profile is None:
         profile = _expr.degree_profile(F)
     Fd = F.dual()

@@ -1,4 +1,4 @@
-"""Shared numeric constants: exact Bernoulli numbers and Stieltjes constants."""
+"""Shared numeric constants: exact Bernoulli numbers and desk-scale guards."""
 
 import math
 from fractions import Fraction
@@ -23,19 +23,6 @@ def _bernoulli_numbers(nmax):
 
 # B_0 .. B_60, exact.  Only the even ones are nonzero past B_1.
 BERNOULLI = _bernoulli_numbers(60)
-
-# Euler-Mascheroni and generalized Stieltjes constants gamma_0..gamma_6,
-# 30 significant digits.  These drive the Laurent expansion of zeta at s = 1:
-# zeta(s) = 1/(s-1) + sum_k (-1)^k gamma_k (s-1)^k / k!.
-STIELTJES = (
-    0.577215664901532860606512090082,
-    -0.0728158454836767248605863758749,
-    -0.00969036319287231848453038603521,
-    0.00205383442030334586616004654275,
-    0.00232537006546730005746817017753,
-    0.000793323817301062701753334877444,
-    -0.000238769345430199609872421841908,
-)
 
 TWO_PI = 2.0 * math.pi
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)

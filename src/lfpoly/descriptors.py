@@ -7,7 +7,7 @@ primitive characters (the GL(1) instantiation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import characters as chars
 from .errors import NotPrimitive, OracleRange
@@ -67,7 +67,8 @@ def dirichlet_descriptor(chi: chars.Character, id: str = None) -> LFunctionDescr
             f"has conductor {chi.conductor}"
         )
     if chi.modulus == 1:
-        return zeta_descriptor()
+        d = zeta_descriptor()
+        return replace(d, id=id, contragredient_id=id) if id else d
     did = id or f"chi_{chi.modulus}_{chi.index}"
     conj = chi.conjugate()
     return LFunctionDescriptor(

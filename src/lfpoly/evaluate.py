@@ -18,14 +18,15 @@ max(20, 1.2 max|t|).  The main sum of a large batch takes exp, cos and
 sin once per distinct abscissa and height, which contour batches repeat,
 and sums in row chunks of points, so its temporaries do not grow with the
 batch.
-The reflection factor's log Gamma and digamma are Stirling's series after
-a shift to Re >= 8 (_loggamma, _digamma), so numpy is the only dependency.
+The reflection factor's log Gamma is Stirling's series after a shift to
+Re >= 8, as a power series too (_loggamma); numpy is the only dependency.
 Expression values combine the per-factor scaled tables.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -74,9 +75,8 @@ _LOG_CNEXT = [None] + [
 _COST_TERM = 4e-8
 _COST_STEP = 3e-5
 _COST_STEP_POINT = 2e-8
-# _loggamma and _digamma shift their argument to real part at least
-# _GAMMA_SHIFT and sum Stirling's series there with B_2 .. B_20, kept as
-# B_2k / 2k
+# _loggamma shifts its argument to real part at least _GAMMA_SHIFT and
+# sums Stirling's series there with B_2 .. B_20, kept as B_2k / 2k
 _GAMMA_SHIFT = 8
 _STIRLING = [_BFLOAT[2 * k] / (2 * k) for k in range(1, 11)]
 
@@ -383,74 +383,93 @@ def _direct_batch(desc, S, lmax):
     raise ValueError(f"unknown descriptor kind {desc.kind!r}")
 
 
-def _hurwitz_int(j, z):
-    """zeta(j, z) = sum_k (z + k)^-j for an integer j >= 2 and Re z >= 3/2:
-    ten terms, then Euler-Maclaurin with eight Bernoulli terms.  The
-    remainder is below 4 (j)_16 (2 pi)^-16 (Re z + 10)^(-j-15) / (j + 15),
-    at most 1.3e-17."""
-    out = sum((z + k) ** -j for k in range(10))
-    w = z + 10
-    out += w ** (1 - j) / (j - 1) + 0.5 * w**-j
-    poch = 1.0
-    for i in range(1, 9):
-        poch *= j if i == 1 else (j + 2 * i - 3) * (j + 2 * i - 2)
-        out += _BFLOAT[2 * i] / math.factorial(2 * i) * poch * w ** (1 - j - 2 * i)
-    return out
+def _loggamma(z, n):
+    """Taylor coefficients of the principal log Gamma(z + h) in h, orders
+    0 .. n - 1, as an array of shape (n,) + shape of z, for Re z > 0.
+    Order 0 is the branch that is real on the positive axis and continuous
+    in the half-plane, order 1 is psi(z).
 
+    log Gamma(z + h) = log Gamma(w + h) - sum_(k < m) log(z + k + h), with
+    m >= 0 the least integer that makes Re w >= _GAMMA_SHIFT for w = z + m,
+    principal logarithms, and each shift term expanded as a series in h.
+    log Gamma(w + h) is Stirling's series (w + h - 1/2) log(w + h) - w - h
+    + log(2 pi) / 2 + sum_(k <= 10) B_2k / (2k (2k - 1)) (w + h)^(1 - 2k).
+    Its order i >= 1 is 1/i times order i - 1 of psi(w + h) = log(w + h) -
+    1 / (2 (w + h)) - sum_(k <= 10) B_2k / 2k (w + h)^-2k, the sums by
+    Horner's rule in 1/w^2 (_stirling).
 
-def _gamma_shift(z):
-    """(z, w, m): z as a complex array and w = z + m, with m >= 0 the least
-    integer that makes Re w >= _GAMMA_SHIFT.  Raises ValueError unless
-    Re z > 0, the half-plane where log Gamma has its principal branch."""
-    z = np.asarray(z, dtype=complex)
-    if not np.all(z.real > 0):
-        raise ValueError("log Gamma and digamma are evaluated only for Re z > 0")
-    m = np.maximum(np.ceil(_GAMMA_SHIFT - z.real), 0)
-    return z, z + m, m
-
-
-def _loggamma(z):
-    """Principal log Gamma(z) over an array with Re z > 0: the branch that is
-    real on the positive axis and continuous in the half-plane.
-
-    log Gamma(z) = log Gamma(w) - sum_(k < m) log(z + k) with w = z + m
-    (_gamma_shift) and principal logarithms; log Gamma(w) is Stirling's
-    series (w - 1/2) log w - w + log(2 pi) / 2 + sum_(k <= 10) B_2k /
-    (2k (2k - 1) w^(2k - 1)).  Its remainder is below |B_22| / (22 21
-    |w|^21) sec^22(arg w / 2) (DLMF 5.11(ii)).  At fixed Re w the sec
-    factor grows no faster than |w|^21 does, so the bound is largest on
-    the real axis: at most 1.5e-18 for Re w >= 8.
-    """
-    z, w, m = _gamma_shift(z)
-    r2 = 1 / (w * w)
-    ser = 0
-    for k in range(len(_STIRLING), 0, -1):
-        ser = ser * r2 + _STIRLING[k - 1] / (2 * k - 1)
-    out = (w - 0.5) * np.log(w) - w + 0.5 * math.log(2 * math.pi) + ser / w
-    for k in range(int(m.max(initial=0))):
-        out -= np.where(k < m, np.log(z + k), 0)
-    return out
-
-
-def _digamma(z):
-    """psi(z) = Gamma'(z) / Gamma(z) over an array with Re z > 0.
-
-    psi(z) = psi(w) - sum_(k < m) 1 / (z + k) with w = z + m
-    (_gamma_shift), and psi(w) = log w - 1 / (2w) - sum_(k <= 10) B_2k /
-    (2k w^2k).  The remainder is the derivative of log Gamma's,
+    The remainder R(w) of log Gamma is below |B_22| / (22 21 |w|^21)
+    sec^22(arg w / 2) (DLMF 5.11(ii)).  At fixed Re w the sec factor grows
+    no faster than |w|^21 does, so the bound is largest on the real axis:
+    at most 1.5e-18 for Re w >= 8.  Order 1's remainder is R'(w) =
     -int_0^inf (B_22 - B~_22(x)) / (x + w)^23 dx with B~ the periodic
     Bernoulli function; |B_22 - B~_22| <= 2 |B_22| and |x + w| >= (x + |w|)
     cos(arg w / 2) bound it by |B_22| / (11 |w|^22) sec^23(arg w / 2), at
-    most 7.7e-18 for Re w >= 8 by the same argument as for log Gamma.
+    most 7.7e-18 by the same argument.  Order i >= 2 is the i-th Taylor
+    coefficient of R(w + h), at most the largest |R| on |h| = 1 by Cauchy's
+    estimate; there Re(w + h) >= 7, so it is at most 2.4e-17.
     """
-    z, w, m = _gamma_shift(z)
+    z = np.asarray(z, dtype=complex)
+    if not np.all(z.real > 0):
+        raise ValueError("log Gamma is evaluated only for Re z > 0")
+    m = np.maximum(np.ceil(_GAMMA_SHIFT - z.real), 0)
+    w = z + m
     r2 = 1 / (w * w)
-    ser = 0
-    for b in reversed(_STIRLING):
-        ser = ser * r2 + b
-    out = np.log(w) - 0.5 / w - ser * r2
+    lw = np.log(w)
+    out = np.empty((n,) + z.shape, dtype=complex)
+    for i in range(n):
+        ser = 0
+        for b in _stirling(i):
+            ser = ser * r2 + b
+        if i == 0:
+            out[0] = (w - 0.5) * lw - w + 0.5 * math.log(2 * math.pi) + ser / w
+        elif i == 1:
+            out[1] = lw - 0.5 / w + ser * r2
+        else:
+            out[i] = ((-1) ** i * (1 / (i * (i - 1)) + 0.5 / (i * w))
+                      + ser * r2) / w ** (i - 1)
     for k in range(int(m.max(initial=0))):
-        out -= np.where(k < m, 1 / (z + k), 0)
+        out[0] -= np.where(k < m, np.log(z + k), 0)
+        if n > 1:
+            # order i of log(z + k + h) is (-1)^(i + 1) / (i (z + k)^i)
+            p = inv = np.where(k < m, 1 / (z + k), 0)
+            out[1] -= p
+            for i in range(2, n):
+                p = p * inv
+                out[i] -= (-1) ** (i + 1) / i * p
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _stirling(i):
+    """Order i of the Stirling sum in _loggamma: its Horner coefficients in
+    1/w^2, highest first, B_2k / (2k (2k - 1)) at order 0 and -B_2k / 2k
+    binom(-2k, i - 1) / i at order i >= 1."""
+    return tuple(b / (2 * k - 1) if i == 0
+                 else -b * math.comb(2 * k + i - 2, i - 1) * (-1) ** (i - 1) / i
+                 for k, b in reversed(list(enumerate(_STIRLING, 1))))
+
+
+def _log_fe_smooth(desc, W, n):
+    """Taylor coefficients in e of log Phi(W - e) without its cosine
+    factors, orders 0 .. n - 1 over an array W.
+
+    Each Gamma argument moves by h = -e/2, so order j of _loggamma there is
+    scaled by (-1/2)^j; the conductor and pi terms reach orders 0 and 1.
+    """
+    m = desc.rank
+    out = np.zeros((n, W.size), dtype=complex)
+    out[0] = -cmath.log(desc.root_number) + (W - 0.5) * math.log(desc.conductor)
+    out[0] += (-m / 2 - m * W) * math.log(math.pi)
+    if n > 1:
+        out[1] = -(math.log(desc.conductor) - m * math.log(math.pi))
+        scale = (-0.5) ** np.arange(1, n)[:, None]
+    for mu in desc.spectral_params:
+        lg = [_loggamma(x, n) for x in ((W + mu) / 2, (1 + W - complex(mu).conjugate()) / 2)]
+        out[0] += lg[0][0] + lg[1][0]
+        if n > 1:
+            out[1:] += scale * lg[0][1:]
+            out[1:] += scale * lg[1][1:]
     return out
 
 
@@ -460,27 +479,16 @@ def _fe_series(desc, W, n):
     |Phi[j]| is the absolute mass that the rounding of Phi[j] scales with.
 
     Phi is exp of a smooth part times cosines.  The smooth part's Taylor
-    coefficients are _loggamma, _digamma and, for j >= 2, (1/2)^j
-    zeta(j, z) / j at each Gamma argument z; they are exponentiated as a
-    series.  Each cosine is expanded directly, cos(a - x) = cos a cos x +
-    sin a sin x, scaled by exp(-|Im a|), so a zero of Phi (a trivial zero
-    of the dual) costs nothing.  Orders j >= 2 need Re W > 3.
+    series is _log_fe_smooth's, exponentiated as a series.  Each cosine is
+    expanded directly, cos(a - x) = cos a cos x + sin a sin x, scaled by
+    exp(-|Im a|), so a zero of Phi (a trivial zero of the dual) costs
+    nothing.
     """
-    # lam[j]: Taylor coefficients in e of the smooth part of log Phi(W - e)
-    lam = np.zeros((n, W.size), dtype=complex)
-    lam[0] = _log_fe_smooth(desc, W)
-    if n > 1:
-        lam[1] = -(math.log(desc.conductor) - desc.rank * math.log(math.pi))
+    lam = _log_fe_smooth(desc, W, n)
     cos_parts = []
     G = lam[0].real.copy()
     for mu in desc.spectral_params:
-        mub = complex(mu).conjugate()
-        for z in ((W + mu) / 2, (1 + W - mub) / 2):
-            if n > 1:
-                lam[1] -= 0.5 * _digamma(z)
-            for j in range(2, n):
-                lam[j] += 0.5**j / j * _hurwitz_int(j, z)
-        a = math.pi * (W - mub) / 2
+        a = math.pi * (W - complex(mu).conjugate()) / 2
         y = np.abs(a.imag)
         p = np.exp(1j * a.real - a.imag - y)
         q = np.exp(-1j * a.real + a.imag - y)
@@ -508,7 +516,7 @@ def _reflected(desc, W, lmax):
     C, trunc, rnd = _direct_batch(desc, W, lmax)
     C = C * ((-1.0) ** np.arange(n))[:, None]
     Phi, mass, G = _fe_series(desc, W, n)
-    # _loggamma, _digamma and the phase exp(i Im log Phi) carry a relative
+    # _loggamma and the phase exp(i Im log Phi) carry a relative
     # error that grows with |log Phi| ~ |W log W|
     rel = 1e-13 * (1 + np.abs(W))
     return (_smul(Phi, C), G, _smul(mass, trunc),
@@ -546,6 +554,18 @@ def lfunc_values(desc: LFunctionDescriptor, S):
     return C[0] * scale, (trunc[0] + rnd[0]) * scale
 
 
+def _gate(C, trunc, rnd, S, rel_tol):
+    """Raise AccuracyUnreachable where a Taylor table's truncation bound
+    exceeds rel_tol times its entry's magnitude plus its rounding bound."""
+    bad = trunc > rel_tol * np.abs(C) + rnd
+    if bad.any():
+        l, i = (int(x[0]) for x in np.nonzero(bad))
+        raise AccuracyUnreachable(
+            f"truncation bound {trunc[l, i]:.2e} of order {l} at s = {S[i]} "
+            f"exceeds the target {rel_tol:.1e}"
+        )
+
+
 def lfunc_derivatives_scaled(desc, S, lmax, rel_tol=1e-9):
     """Scaled derivative tables (D, G): L^(l)(S[i]) = D[l, i] exp(G[i]).
 
@@ -561,13 +581,7 @@ def lfunc_derivatives_scaled(desc, S, lmax, rel_tol=1e-9):
     if desc.pole_order > 0 and np.any(np.abs(S - 1) < 1e-6):
         raise PoleTooClose("derivative table requested within 1e-6 of the pole at s = 1")
     C, G, trunc, rnd = _lfunc_taylor(desc, S, lmax)
-    bad = trunc > rel_tol * np.abs(C) + rnd
-    if bad.any():
-        l, i = (int(x[0]) for x in np.nonzero(bad))
-        raise AccuracyUnreachable(
-            f"truncation bound {trunc[l, i]:.2e} of order {l} at s = {S[i]} "
-            f"exceeds the target {rel_tol:.1e}"
-        )
+    _gate(C, trunc, rnd, S, rel_tol)
     fact = np.array([math.factorial(l) for l in range(lmax + 1)])[:, None]
     return C * fact, G
 
@@ -655,16 +669,6 @@ def log_fe_factor(desc: LFunctionDescriptor, s):
         out = G + np.log(Phi[0])
     # a scalar point gives a scalar, an array an array of its shape
     return out.reshape(np.shape(s))[()]
-
-
-def _log_fe_smooth(desc, z):
-    """log Phi(z) without its cosine factors, over an array."""
-    m = desc.rank
-    out = -cmath.log(desc.root_number) + (z - 0.5) * math.log(desc.conductor)
-    out += (-m / 2 - m * z) * math.log(math.pi)
-    for mu in desc.spectral_params:
-        out += _loggamma((z + mu) / 2) + _loggamma((1 + z - complex(mu).conjugate()) / 2)
-    return out
 
 
 def reflected_lvalue(desc, s):

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constants import LOG_2PI_E, STIELTJES, TWO_PI
+from .constants import LOG_2PI_E, TWO_PI
 from .descriptors import contragredient
 from .errors import AssumptionViolated, NumericallyAmbiguous, ZeroExpression
+from .evaluate import _direct_batch, _gate, _hurwitz_batch, _smul, eval_F
 
 _ZERO_COEFF_TOL = 1e-14
 _SUMCJ_REL_TOL = 1e-12
@@ -374,136 +375,76 @@ def predicted_count(F: PolyExpression, T: float, profile: DegreeProfile = None) 
 
 # --- pole order at s = 1 --------------------------------------------------
 
-_LAURENT_KEEP = 10
-
-
-class _Laurent:
-    """Truncated Laurent series in w = s - 1, with abs-mass tracking."""
-
-    __slots__ = ("lo", "c", "a")
-
-    def __init__(self, lo, c, a):
-        self.lo = lo
-        self.c = list(c)
-        self.a = list(a)
-
-    @staticmethod
-    def const(v):
-        return _Laurent(0, [complex(v)], [abs(v)])
-
-    def mul(self, other):
-        n = _LAURENT_KEEP
-        lo = self.lo + other.lo
-        c = [0j] * n
-        a = [0.0] * n
-        for i, (ci, ai) in enumerate(zip(self.c[:n], self.a[:n])):
-            for j, (cj, aj) in enumerate(zip(other.c[: n - i], other.a[: n - i])):
-                c[i + j] += ci * cj
-                a[i + j] += ai * aj
-        return _Laurent(lo, c, a)
-
-    def add(self, other):
-        lo = min(self.lo, other.lo)
-        n = max(self.lo + len(self.c), other.lo + len(other.c)) - lo
-        c = [0j] * n
-        a = [0.0] * n
-        for src in (self, other):
-            off = src.lo - lo
-            for i, (ci, ai) in enumerate(zip(src.c, src.a)):
-                c[off + i] += ci
-                a[off + i] += ai
-        return _Laurent(lo, c, a)
-
-    def scaled(self, v):
-        return _Laurent(self.lo, [v * ci for ci in self.c], [abs(v) * ai for ai in self.a])
-
-
-def _zeta_deriv_laurent(l):
-    """Laurent expansion of zeta^(l) at s = 1 through gamma_6."""
-    lo = -(l + 1)
-    n = _LAURENT_KEEP
-    c = [0j] * n
-    a = [0.0] * n
-    lead = (-1) ** l * math.factorial(l)
-    c[0] = complex(lead)
-    a[0] = abs(lead)
-    for k in range(l, len(STIELTJES)):
-        coef = (-1) ** k * STIELTJES[k] / math.factorial(k - l)
-        idx = (k - l) - lo
-        if idx < n:
-            c[idx] += coef
-            a[idx] += abs(coef)
-    return _Laurent(lo, c, a)
-
-
-def _analytic_taylor(F, desc, l, order):
-    """Taylor coefficients at s = 1 of L^(l) for a pole-free descriptor."""
-    from .evaluate import lfunc_derivatives  # local import: avoid cycle
-
-    dv = lfunc_derivatives(desc, np.array([1.0 + 0j]), l + order, rel_tol=1e-9)
-    c = [dv[l + j, 0] / math.factorial(j) for j in range(order)]
-    return _Laurent(0, c, [abs(x) for x in c])
+def _at_1(desc, l, n):
+    """Taylor coefficients 0 .. n - 1 in w of w^(l + 1) L^(l)(1 + w) if L
+    has its pole at s = 1, else of L^(l)(1 + w).  The pole's part is (-1)^l
+    l! w^(-l - 1); the rest is the kernel's table at s = 1 (zeta's with its
+    pole subtracted), differentiated l times and gated like every derivative
+    table."""
+    lead = [(-1) ** l * math.factorial(l)] + [0] * l if desc.pole_order else []
+    k = n - len(lead)
+    if k <= 0:
+        return lead[:n]
+    S = np.array([1.0 + 0j])
+    if desc.pole_order:
+        C, trunc, rnd = _hurwitz_batch(S, 1.0, l + k - 1, subtract_pole=True)
+    else:
+        C, trunc, rnd = _direct_batch(desc, S, l + k - 1)
+    _gate(C, trunc, rnd, S, 1e-9)
+    return lead + [C[l + j, 0] * math.perm(l + j, l) for j in range(k)]
 
 
 def pole_order(F: PolyExpression) -> int:
     """Exact order of the pole of F at s = 1 (0 if entire there).
 
-    Computed from truncated Laurent arithmetic over the zeta expansion;
-    cancellations across monomials are resolved by the stored Stieltjes
-    constants and cross-checked by a numeric probe at radii 1e-2 and 1e-3.
+    With P the largest pole weight sum (l + 1) d over the zeta factors of
+    one monomial, w^P F(1 + w) is entire.  Its Taylor coefficients of
+    orders 0 .. P - 1 are truncated series products of the factors' tables
+    at s = 1 (_at_1), with their absolute masses alongside; a monomial of
+    weight p enters shifted by P - p.  Cancellations across monomials are
+    resolved against those masses and cross-checked by a numeric probe at
+    radii 1e-2 and 1e-3.
     """
-    symbolic_bound = 0
-    for m in F.monomials:
-        b = sum(
-            (l + 1) * d
-            for fid, l, d in m.factors
-            if F.lfuncs[fid].pole_order == 1
-        )
-        symbolic_bound = max(symbolic_bound, b)
-    if symbolic_bound == 0:
+    weights = [
+        sum((l + 1) * d for fid, l, d in m.factors if F.lfuncs[fid].pole_order == 1)
+        for m in F.monomials
+    ]
+    P = max(weights)
+    if P == 0:
         return 0
-
-    total = None
-    for m in F.monomials:
-        term = _Laurent.const(1.0)
+    c = np.zeros(P, dtype=complex)
+    a = np.zeros(P)
+    for m, p in zip(F.monomials, weights):
+        if p == 0:
+            continue  # entire at s = 1: nothing below order P
+        u = au = [1.0] + [0.0] * (p - 1)
         for fid, l, d in m.factors:
-            desc = F.lfuncs[fid]
-            if desc.pole_order == 1:
-                fac = _zeta_deriv_laurent(l)
-            else:
-                fac = _analytic_taylor(F, desc, l, min(_LAURENT_KEEP, symbolic_bound + 2))
+            t = np.array(_at_1(F.lfuncs[fid], l, p))
             for _ in range(d):
-                term = term.mul(fac)
-        term = term.scaled(m.coeff)
-        total = term if total is None else total.add(term)
-
-    scale = max(total.a) if total.a else 0.0
-    for i, (ci, ai) in enumerate(zip(total.c, total.a)):
-        k = total.lo + i
-        if k >= 0:
-            break
+                u, au = _smul(u, t), _smul(au, np.abs(t))
+        c[P - p :] += m.coeff * u
+        a[P - p :] += abs(m.coeff) * au
+    scale = a.max()
+    for k, ci, ai in zip(range(-P, 0), c, a):
         if abs(ci) > 1e-10 * max(ai, scale * 1e-6):
-            order = -k
             probe = _numeric_pole_probe(F)
-            if probe is not None and probe != order:
+            if probe is not None and probe != -k:
                 raise NumericallyAmbiguous(
-                    f"Laurent arithmetic gives pole order {order} but the "
+                    f"Laurent arithmetic gives pole order {-k} but the "
                     f"numeric probe suggests {probe}",
-                    symbolic_bound=symbolic_bound,
+                    symbolic_bound=P,
                 )
-            return order
+            return -k
         if abs(ci) > 1e-14 * max(ai, 1.0):
             raise NumericallyAmbiguous(
                 f"leading Laurent coefficient at w^{k} is below the decision "
                 f"threshold ({abs(ci):.2e} vs mass {ai:.2e})",
-                symbolic_bound=symbolic_bound,
+                symbolic_bound=P,
             )
     return 0
 
 
 def _numeric_pole_probe(F):
-    from .evaluate import eval_F  # local import: avoid cycle
-
     try:
         v1 = abs(eval_F(F, 1 + 1e-2 + 0j, 1e-9))
         v2 = abs(eval_F(F, 1 + 1e-3 + 0j, 1e-9))

@@ -166,6 +166,7 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["count", "--T", "20000"],
     ["zeros", "--T1", "30", "--T2", "20"],
+    ["fecheck", "--sigma", "1.5"],
 ])
 def test_bad_height_window_is_usage_error(zeta_file, tmp_path, capsys, argv):
     out = str(tmp_path / "o")

@@ -269,6 +269,15 @@ def test_entire_at_1_oracle(q):
         assert abs(D[l, 0] - ref) <= 1e-10 * max(1.0, abs(ref)), l
 
 
+def test_zeta_table_at_1_stieltjes():
+    # zeta(1 + e) - 1/e = sum_k (-1)^k gamma_k e^k / k! through gamma_9,
+    # within the table's own truncation and rounding bounds
+    C, trunc, rnd = ev._hurwitz_batch(np.array([1.0 + 0j]), 1.0, 9, subtract_pole=True)
+    for k in range(10):
+        ref = complex((-1) ** k * mp.stieltjes(k) / mp.factorial(k))
+        assert abs(C[k, 0] - ref) <= trunc[k, 0] + rnd[k, 0], k
+
+
 def test_pole_order_reads_table_at_1(l_chi4):
     from lfpoly import expr as E
 
@@ -461,9 +470,9 @@ def test_loggamma_digamma_oracle(x, y):
     with mp.workdps(30):
         lg = complex(mp.loggamma(mp.mpc(z)))
         dg = complex(mp.digamma(mp.mpc(z)))
-    assert abs(ev._loggamma(z) - lg) <= 1.5e-18 + rl, z
-    assert abs(ev._digamma(z) - dg) <= 7.7e-18 + rd, z
-    step = ev._loggamma(z + 1) - ev._loggamma(z) - cmath.log(z)
+    assert abs(ev._loggamma(z, 2)[0] - lg) <= 1.5e-18 + rl, z
+    assert abs(ev._loggamma(z, 2)[1] - dg) <= 7.7e-18 + rd, z
+    step = ev._loggamma(z + 1, 2)[0] - ev._loggamma(z, 2)[0] - cmath.log(z)
     assert abs(step) <= 2 * (_gamma_rounding(z + 1)[1] + rl), z
 
 
@@ -481,12 +490,36 @@ def test_stirling_bound_low_shift(x, y):
         mpatch.setattr(ev, "_GAMMA_SHIFT", 4)
         w, rl, rd = _gamma_rounding(z)
         bl, bd = _stirling_bounds(w)
-        assert abs(ev._loggamma(z) - complex(mp.loggamma(mp.mpc(z)))) <= bl + rl, z
-        assert abs(ev._digamma(z) - complex(mp.digamma(mp.mpc(z)))) <= bd + rd, z
+        assert abs(ev._loggamma(z, 2)[0] - complex(mp.loggamma(mp.mpc(z)))) <= bl + rl, z
+        assert abs(ev._loggamma(z, 2)[1] - complex(mp.digamma(mp.mpc(z)))) <= bd + rd, z
+
+
+# orders j >= 2 of log Gamma(z + h) are (-1)^j zeta(j, z) / j: within the
+# docstring's Cauchy bound plus (j + 1) ulps of every piece summed (the
+# j-th power of each shift term rounds j times)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    x=st.one_of(st.floats(0.05, 8.0, exclude_min=True), st.floats(8.0, 200.0)),
+    y=st.one_of(st.floats(-5.0, 5.0), st.floats(-5000.0, 5000.0)),
+)
+@example(x=0.05 + 1e-12, y=0.0)
+@example(x=0.5, y=0.0)
+@example(x=7.99, y=-4999.0)
+@example(x=200.0, y=5000.0)
+def test_loggamma_higher_orders_oracle(x, y):
+    z = complex(x, y)
+    m = max(0, math.ceil(ev._GAMMA_SHIFT - z.real))
+    w = z + m
+    got = ev._loggamma(z, 6)
+    with mp.workdps(30):
+        for j in range(2, 6):
+            ref = complex((-1) ** j * mp.zeta(j, mp.mpc(z)) / j)
+            pieces = sum(abs(z + k) ** -j for k in range(m)) / j + abs(w) ** (1 - j)
+            assert abs(got[j] - ref) <= 2.4e-17 + 4 * (j + 1) * 2.0**-52 * pieces, (z, j)
 
 
 @pytest.mark.parametrize("z", [0.0, -0.5 + 3j, -1e-300 - 100j, complex("nan")])
 def test_loggamma_digamma_domain(z):
-    for f in (ev._loggamma, ev._digamma):
+    for f in (lambda z: ev._loggamma(z, 2)[0], lambda z: ev._loggamma(z, 2)[1]):
         with pytest.raises(ValueError):
             f(np.array([1.0, z]))

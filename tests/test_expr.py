@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lfpoly import expr as E
-from lfpoly.errors import AssumptionViolated, ZeroExpression
+from lfpoly.errors import AccuracyUnreachable, AssumptionViolated, ZeroExpression
 
 from conftest import ZETA, build, zpoly
 
@@ -242,3 +242,11 @@ def test_pole_order_cancellation():
 def test_pole_order_mixed_factor(l_chi3):
     F = build([(1.0, [(ZETA, 0, 1), (l_chi3, 0, 1)])], [ZETA, l_chi3])
     assert E.pole_order(F) == 1
+
+
+def test_pole_order_gates_table_at_1():
+    # zeta^P needs zeta's table at s = 1 through order P - 2; an order the
+    # kernel cannot certify raises instead of being used
+    assert E.pole_order(zpoly((1.0, [(0, 20)]))) == 20
+    with pytest.raises(AccuracyUnreachable):
+        E.pole_order(zpoly((1.0, [(0, 40)])))

@@ -121,3 +121,17 @@ def test_duplicate_lfunction_id():
     ).replace('"lfunc": "chi3"', '"lfunc": "zeta"')
     with pytest.raises(ExpressionFileError):
         exprfile.loads(bad)
+
+
+def test_modulus_one_stub_keeps_its_id():
+    # the only character mod 1 gives zeta, under the stub's own id
+    text = json.dumps({
+        "lfunctions": [{"id": "L1", "kind": "dirichlet", "modulus": 1, "characterIndex": 0}],
+        "monomials": [{"coeff": [1.0, 0.0],
+                       "factors": [{"lfunc": "L1", "deriv": 1, "exp": 1}]}],
+    })
+    F = exprfile.loads(text)
+    d = F.lfuncs["L1"]
+    assert d.id == d.contragredient_id == "L1" and d.kind == "zeta"
+    assert E.pole_order(F) == 2
+    assert F.dual().lfuncs == {"L1": d}
