@@ -3,7 +3,9 @@ reflection-formula checks, clustering statistics, and Littlewood sums."""
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +13,9 @@ import numpy as np
 from . import expr as _expr
 from . import zeros as _zeros
 from .errors import BOutOfRange, ScanFailed
-from .evaluate import asymptotic_fe_main, eval_F
+from .evaluate import _reflection_region, asymptotic_fe_main, eval_F
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -141,35 +145,76 @@ class DiskReport:
         return self.count == self.expected
 
 
+def _disk_squares(F, epsilon, n):
+    """(centers, squares) of n: the points -2n - mu_r, and the covering
+    squares of side 2 epsilon around them, merged where their centers lie
+    closer than 2 epsilon so that shared zeros count once."""
+    centers = []
+    for d in F.lfuncs.values():
+        for mu in d.spectral_params:
+            c = -2 * n - complex(mu)
+            if all(abs(c - c0) > 1e-9 for c0 in centers):
+                centers.append(c)
+    squares = [
+        _zeros.Rectangle(c.real - epsilon, c.real + epsilon,
+                         c.imag - epsilon, c.imag + epsilon)
+        for c in _merge_centers(centers, 2 * epsilon)
+    ]
+    return centers, squares
+
+
+def _window_width(F, epsilon, n):
+    """The n in one audit window: as many as fit in _zeros._BLOCK_POINTS
+    initial edge samples, counted edge by edge as for a block of bands, and
+    at least one."""
+    per_square = 4 * _zeros._edge_points(0.0, 2 * epsilon, _zeros._STEP0).size
+    per_n = per_square * len(_disk_squares(F, epsilon, n)[1])
+    return max(1, _zeros._BLOCK_POINTS // per_n)
+
+
+def _audit_window(F, epsilon, ns, profile):
+    """A DiskReport, or the first winding error among its squares, per n in
+    ns: the squares of every n wound in one _wind_each call, logged as one
+    record."""
+    disks = [_disk_squares(F, epsilon, n) for n in ns]
+    tally = Counter()
+    wound = _zeros._wind_each(F, [q for _, sq in disks for q in sq],
+                              tally=tally)
+    log.debug(
+        "disks %d <= n <= %d: %d squares, %d contour points, "
+        "%d evaluation rounds, %d lines moved", ns[0], ns[-1], len(wound),
+        tally["points"], tally["rounds"], tally["moved"],
+    )
+    out, i = [], 0
+    for n, (centers, squares) in zip(ns, disks):
+        ws = [w for w, _ in wound[i:i + len(squares)]]
+        i += len(squares)
+        err = next((w for w in ws if isinstance(w, Exception)), None)
+        out.append(DiskReport(n=n, centers=tuple(centers), count=sum(ws),
+                              expected=profile.deg_rk) if err is None else err)
+    return out
+
+
 def trivial_zero_audit(F, epsilon, n_range, profile=None):
     """Zero counts in the disks around -2n - mu_r, one report per n.
 
     Winding runs over covering squares of side 2 epsilon; squares whose
-    centers nearly coincide are merged so shared zeros count once.
+    centers nearly coincide are merged so shared zeros count once.  The
+    squares are wound window by window (_window_width), each window in one
+    call, and the first winding error, in order of n, is raised.
     """
     if not 0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 0.5]")
     if profile is None:
         profile = _expr.degree_profile(F)
+    ns = list(n_range)
+    width = _window_width(F, epsilon, ns[0]) if ns else 1
     reports = []
-    for n in n_range:
-        centers = []
-        for d in F.lfuncs.values():
-            for mu in d.spectral_params:
-                c = -2 * n - complex(mu)
-                if all(abs(c - c0) > 1e-9 for c0 in centers):
-                    centers.append(c)
-        rects = [
-            _zeros.Rectangle(c.real - epsilon, c.real + epsilon,
-                             c.imag - epsilon, c.imag + epsilon)
-            for c in _merge_centers(centers, 2 * epsilon)
-        ]
-        wound = _zeros._first_error(_zeros._wind_each(F, rects))
-        count = sum(w for w, _ in wound)
-        reports.append(
-            DiskReport(n=n, centers=tuple(centers), count=count,
-                       expected=profile.deg_rk)
-        )
+    for i in range(0, len(ns), width):
+        for r in _audit_window(F, epsilon, ns[i:i + width], profile):
+            if isinstance(r, Exception):
+                raise r
+            reports.append(r)
     return reports
 
 
@@ -181,6 +226,19 @@ def admissible_start(F, epsilon, run=5, n_limit=1 << 17, profile=None):
     the disk center shrinks like 1/log|s|, so the index can reach 10^4).
     Geometric upsweep brackets the first matching n, a bisection refines
     it, and the run itself is verified by winding before returning.
+    """
+    return _admissible_run(F, epsilon, run, n_limit, profile)[0]
+
+
+def _admissible_run(F, epsilon, run=5, n_limit=1 << 17, profile=None):
+    """(n0, reports of n0 .. n0+run-1) for admissible_start.
+
+    The run is verified by a walk: when a run holds mismatches, the next
+    starts after the last of them.  The walk winds windows of consecutive
+    n, each _window_width of them and at least run, ending no later than
+    n_limit + run - 1, and reads their reports in the order of a walk that
+    wound one run at a time.  A winding error is raised when the walk
+    reads its n, so errors past the verified run stay unraised.
     """
     if profile is None:
         profile = _expr.degree_profile(F)
@@ -207,11 +265,22 @@ def admissible_start(F, epsilon, run=5, n_limit=1 << 17, profile=None):
         else:
             n_lo = mid
     n0 = n_hi
+    width = max(run, _window_width(F, epsilon, n0))
+    memo = {}
+
+    def read(n):
+        if n not in memo:
+            ns = list(range(n, min(n + width, n_limit + run)))
+            memo.update(zip(ns, _audit_window(F, epsilon, ns, profile)))
+        if isinstance(memo[n], Exception):
+            raise memo[n]
+        return memo[n]
+
     while True:
-        reports = trivial_zero_audit(F, epsilon, range(n0, n0 + run), profile)
+        reports = [read(n) for n in range(n0, n0 + run)]
         bad = [r.n for r in reports if not r.matches]
         if not bad:
-            return n0
+            return n0, reports
         n0 = max(bad) + 1
         if n0 + run - 1 > n_limit:
             raise ScanFailed(
@@ -260,6 +329,14 @@ def asymptotic_fe_check(F, sigma, t_grid, profile=None) -> FEReport:
     """
     if sigma <= 1.5:
         raise ValueError("sigma must exceed 3/2")
+    S = sigma + 1j * np.asarray(t_grid, dtype=float).reshape(-1)
+    outside = S[~_reflection_region(F, S)]
+    if outside.size:
+        raise ValueError(
+            f"s = {complex(outside[0])} is outside the region of the "
+            "reflected asymptotic: it lies on or next to a shifted spectral "
+            "point"
+        )
     if profile is None:
         profile = _expr.degree_profile(F)
     Fd = F.dual()

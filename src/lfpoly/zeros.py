@@ -292,11 +292,11 @@ def _wind(F, at, cells, moves=(), moments=False, step0=_STEP0, done=None,
     return out
 
 
-def _wind_each(F, rects, moments=False):
+def _wind_each(F, rects, moments=False, tally=None):
     """_wind over rects, each on four lines of its own that all may move."""
     at = [x for r in rects for x in (r.sigma_lo, r.sigma_hi, r.t_lo, r.t_hi)]
     cells = [range(i, i + 4) for i in range(0, len(at), 4)]
-    return _wind(F, at, cells, range(len(at)), moments)
+    return _wind(F, at, cells, range(len(at)), moments, tally=tally)
 
 
 def _first_error(wound):

@@ -1,12 +1,14 @@
+import logging
 import math
 
 import pytest
 
 from lfpoly import analysis as A
 from lfpoly import expr as E
-from lfpoly.errors import BOutOfRange, ScanFailed
+from lfpoly import zeros as Z
+from lfpoly.errors import BOutOfRange, BoundaryTooClose, ScanFailed
 
-from conftest import zpoly
+from conftest import ZETA, build, zpoly
 
 
 def test_verify_count_zeta_100(zeta_expr):
@@ -124,6 +126,83 @@ def test_admissible_start_zeta_prime(zeta_prime):
 def test_admissible_start_limit(zeta_prime):
     with pytest.raises(ScanFailed):
         A.admissible_start(zeta_prime, 0.25, n_limit=16)
+
+
+def _per_n_start(F, epsilon, run=5):
+    # the start scan as a walk of single-n audits, one run at a time
+    def match(n):
+        return A.trivial_zero_audit(F, epsilon, [n])[0].matches
+
+    n_lo, n = 0, 1
+    while not match(n):
+        n_lo, n = n, 2 * n
+    n_hi = n
+    while n_hi - n_lo > 1:
+        mid = (n_lo + n_hi) // 2
+        n_lo, n_hi = (n_lo, mid) if match(mid) else (mid, n_hi)
+    n0 = n_hi
+    while True:
+        bad = [n for n in range(n0, n0 + run) if not match(n)]
+        if not bad:
+            return n0
+        n0 = max(bad) + 1
+
+
+def test_admissible_start_matches_per_n_walk(zeta_prime):
+    assert A.admissible_start(zeta_prime, 0.25) == _per_n_start(zeta_prime,
+                                                                0.25)
+
+
+def _dzeta_chi4(l_chi4):
+    return build([(1.0, [(ZETA, 1, 1), (l_chi4, 0, 1)])], [ZETA, l_chi4])
+
+
+@pytest.mark.parametrize("which, ns", [
+    ("zeta", range(1, 12)),
+    ("dzeta_chi4", range(130, 142)),
+])
+def test_audit_batch_matches_single_n(zeta_expr, l_chi4, which, ns):
+    F = zeta_expr if which == "zeta" else _dzeta_chi4(l_chi4)
+    batch = [r.count for r in A.trivial_zero_audit(F, 0.25, ns)]
+    single = [A.trivial_zero_audit(F, 0.25, [n])[0].count for n in ns]
+    assert batch == single
+
+
+def _inject(monkeypatch, bad_n):
+    """Make the square centered at -2 bad_n wind to BoundaryTooClose; the
+    error and the n of every square wound are returned."""
+    err, wound = BoundaryTooClose("injected"), []
+    wind_each = Z._wind_each
+
+    def patched(F, rects, moments=False, tally=None):
+        out = wind_each(F, rects, moments, tally)
+        wound.extend(round(-r.center.real / 2) for r in rects)
+        return [(err if abs(r.center + 2 * bad_n) < 1e-9 else w, used)
+                for r, (w, used) in zip(rects, out)]
+
+    monkeypatch.setattr(Z, "_wind_each", patched)
+    return err, wound
+
+
+def test_admissible_start_lazy_errors(zeta_prime, monkeypatch):
+    n0 = A.admissible_start(zeta_prime, 0.25, run=5)
+    # wound with the window of the final run, never read by the walk
+    err, wound = _inject(monkeypatch, n0 + 8)
+    assert A.admissible_start(zeta_prime, 0.25, run=5) == n0
+    assert n0 + 8 in wound
+    # inside the final run: the walk reads it and raises its error
+    monkeypatch.undo()
+    err, _ = _inject(monkeypatch, n0 + 2)
+    with pytest.raises(BoundaryTooClose) as info:
+        A.admissible_start(zeta_prime, 0.25, run=5)
+    assert info.value is err
+
+
+def test_audit_logs_one_record_per_window(zeta_expr, caplog):
+    with caplog.at_level(logging.DEBUG, logger="lfpoly.analysis"):
+        A.trivial_zero_audit(zeta_expr, 0.25, range(3, 6))
+    [rec] = caplog.records
+    assert rec.getMessage().startswith("disks 3 <= n <= 5: 3 squares, ")
 
 
 def test_fe_check_zeta(zeta_expr):

@@ -135,6 +135,18 @@ def test_fecheck(zeta_file, tmp_path, capsys):
     assert len(doc["points"]) == 2
 
 
+def test_fecheck_spectral_point_is_usage_error(zeta_prime_file, tmp_path,
+                                               capsys):
+    # s = 3 = 2 * 2 - 1 is a shifted spectral point of zeta: refused before
+    # anything is evaluated
+    out = str(tmp_path / "o")
+    assert _run(["fecheck", zeta_prime_file, "-o", out, "--sigma", "3",
+                 "--t-grid", "0,20"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, _schema("error"))
+    assert doc["error"]["type"] == "ValueError"
+
+
 def test_verify_pass_and_fail(zeta_file, tmp_path, capsys):
     out = str(tmp_path / "o")
     labels = ["T", "empirical", "predicted", "slack", "threshold", "verdict"]
@@ -279,17 +291,19 @@ def test_config_defaults(zeta_file, tmp_path):
 
 
 def test_log_env_does_not_change_output(zeta_file, tmp_path, monkeypatch):
-    outs = []
-    for name, lvl in (("q", None), ("v", "DEBUG")):
-        if lvl is None:
-            monkeypatch.delenv("LFD_LOG", raising=False)
-        else:
-            monkeypatch.setenv("LFD_LOG", lvl)
-        out = str(tmp_path / name)
-        assert _run(["analyze", zeta_file, "-o", out]) == 0
-        with open(f"{out}/analyze.json", "rb") as fh:
-            outs.append(fh.read())
-    assert outs[0] == outs[1]
+    for cmd, *flags in (["analyze"],
+                        ["audit", "--n-start", "3", "--n-count", "3"]):
+        outs = []
+        for name, lvl in (("q", None), ("v", "DEBUG")):
+            if lvl is None:
+                monkeypatch.delenv("LFD_LOG", raising=False)
+            else:
+                monkeypatch.setenv("LFD_LOG", lvl)
+            out = str(tmp_path / name)
+            assert _run([cmd, zeta_file, "-o", out] + flags) == 0
+            with open(f"{out}/{cmd}.json", "rb") as fh:
+                outs.append(fh.read())
+        assert outs[0] == outs[1], cmd
 
 
 def test_audit_mismatch_exit_code(zeta_prime_file, tmp_path):
