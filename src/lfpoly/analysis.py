@@ -175,11 +175,18 @@ def _window_width(F, epsilon, n):
 def _audit_window(F, epsilon, ns, profile):
     """A DiskReport, or the first winding error among its squares, per n in
     ns: the squares of every n wound in one _wind_each call, logged as one
-    record."""
+    record.  An error that the call raises, rather than returns per square,
+    sends the window back to one call per n, so that each n keeps its own
+    result."""
     disks = [_disk_squares(F, epsilon, n) for n in ns]
     tally = Counter()
-    wound = _zeros._wind_each(F, [q for _, sq in disks for q in sq],
-                              tally=tally)
+    try:
+        wound = _zeros._wind_each(F, [q for _, sq in disks for q in sq],
+                                  tally=tally)
+    except Exception as exc:
+        if len(ns) == 1:
+            return [exc]
+        return [r for n in ns for r in _audit_window(F, epsilon, [n], profile)]
     log.debug(
         "disks %d <= n <= %d: %d squares, %d contour points, "
         "%d evaluation rounds, %d lines moved", ns[0], ns[-1], len(wound),
@@ -226,19 +233,14 @@ def admissible_start(F, epsilon, run=5, n_limit=1 << 17, profile=None):
     the disk center shrinks like 1/log|s|, so the index can reach 10^4).
     Geometric upsweep brackets the first matching n, a bisection refines
     it, and the run itself is verified by winding before returning.
-    """
-    return _admissible_run(F, epsilon, run, n_limit, profile)[0]
-
-
-def _admissible_run(F, epsilon, run=5, n_limit=1 << 17, profile=None):
-    """(n0, reports of n0 .. n0+run-1) for admissible_start.
 
     The run is verified by a walk: when a run holds mismatches, the next
     starts after the last of them.  The walk winds windows of consecutive
-    n, each _window_width of them and at least run, ending no later than
-    n_limit + run - 1, and reads their reports in the order of a walk that
-    wound one run at a time.  A winding error is raised when the walk
-    reads its n, so errors past the verified run stay unraised.
+    n, the first of run n and each next one twice as wide, up to
+    _window_width, and none past n_limit + run - 1.  It reads their
+    results in the order of a walk that wound one run at a time, and
+    raises a winding error only when it reads its n, so an error past the
+    verified run is never raised.
     """
     if profile is None:
         profile = _expr.degree_profile(F)
@@ -265,13 +267,16 @@ def _admissible_run(F, epsilon, run=5, n_limit=1 << 17, profile=None):
         else:
             n_lo = mid
     n0 = n_hi
-    width = max(run, _window_width(F, epsilon, n0))
+    cap = _window_width(F, epsilon, n0)
+    width = min(run, cap)
     memo = {}
 
     def read(n):
+        nonlocal width
         if n not in memo:
             ns = list(range(n, min(n + width, n_limit + run)))
             memo.update(zip(ns, _audit_window(F, epsilon, ns, profile)))
+            width = min(2 * width, cap)
         if isinstance(memo[n], Exception):
             raise memo[n]
         return memo[n]
@@ -280,7 +285,7 @@ def _admissible_run(F, epsilon, run=5, n_limit=1 << 17, profile=None):
         reports = [read(n) for n in range(n0, n0 + run)]
         bad = [r.n for r in reports if not r.matches]
         if not bad:
-            return n0, reports
+            return n0
         n0 = max(bad) + 1
         if n0 + run - 1 > n_limit:
             raise ScanFailed(

@@ -155,14 +155,13 @@ def cmd_audit(args):
     F = exprfile.load(args.file)
     profile = _expr.degree_profile(F)
     if args.n_start is None:
-        # the reports of the run that the start scan verified
-        n0, reports = analysis._admissible_run(F, args.epsilon, args.n_count,
-                                               profile=profile)
+        n0 = analysis.admissible_start(F, args.epsilon, run=args.n_count,
+                                       profile=profile)
     else:
         n0 = args.n_start
-        reports = analysis.trivial_zero_audit(
-            F, args.epsilon, range(n0, n0 + args.n_count), profile=profile
-        )
+    reports = analysis.trivial_zero_audit(
+        F, args.epsilon, range(n0, n0 + args.n_count), profile=profile
+    )
     ok = all(r.matches for r in reports)
     doc = {
         "epsilon": args.epsilon,

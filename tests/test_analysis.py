@@ -148,13 +148,15 @@ def _per_n_start(F, epsilon, run=5):
         n0 = max(bad) + 1
 
 
-def test_admissible_start_matches_per_n_walk(zeta_prime):
-    assert A.admissible_start(zeta_prime, 0.25) == _per_n_start(zeta_prime,
-                                                                0.25)
-
-
 def _dzeta_chi4(l_chi4):
     return build([(1.0, [(ZETA, 1, 1), (l_chi4, 0, 1)])], [ZETA, l_chi4])
+
+
+@pytest.mark.parametrize("which", ["dzeta", "dzeta_chi4"])
+def test_admissible_start_matches_per_n_walk(zeta_prime, l_chi4, which):
+    # zeta' verifies its first run; zeta' L(chi_4) walks from n = 2 to 137
+    F = zeta_prime if which == "dzeta" else _dzeta_chi4(l_chi4)
+    assert A.admissible_start(F, 0.25) == _per_n_start(F, 0.25)
 
 
 @pytest.mark.parametrize("which, ns", [
@@ -168,34 +170,49 @@ def test_audit_batch_matches_single_n(zeta_expr, l_chi4, which, ns):
     assert batch == single
 
 
-def _inject(monkeypatch, bad_n):
-    """Make the square centered at -2 bad_n wind to BoundaryTooClose; the
-    error and the n of every square wound are returned."""
+def _inject(monkeypatch, bad_n, raised):
+    """Make the square centered at -2 bad_n fail to wind with
+    BoundaryTooClose: returned for its cell, or, with raised, raised by
+    every _wind_each call that holds it.  The error and the n of every
+    square wound are returned."""
     err, wound = BoundaryTooClose("injected"), []
     wind_each = Z._wind_each
 
     def patched(F, rects, moments=False, tally=None):
+        hit = [abs(r.center + 2 * bad_n) < 1e-9 for r in rects]
+        wound.extend(int(-r.center.real // 2) for r in rects)
+        if raised and any(hit):
+            raise err
         out = wind_each(F, rects, moments, tally)
-        wound.extend(round(-r.center.real / 2) for r in rects)
-        return [(err if abs(r.center + 2 * bad_n) < 1e-9 else w, used)
-                for r, (w, used) in zip(rects, out)]
+        return [(err if h else w, used) for h, (w, used) in zip(hit, out)]
 
     monkeypatch.setattr(Z, "_wind_each", patched)
     return err, wound
 
 
-def test_admissible_start_lazy_errors(zeta_prime, monkeypatch):
-    n0 = A.admissible_start(zeta_prime, 0.25, run=5)
+@pytest.mark.parametrize("raised", [False, True])
+def test_admissible_start_lazy_errors(l_chi4, monkeypatch, raised):
+    F = _dzeta_chi4(l_chi4)
+    n0 = A.admissible_start(F, 0.25, run=5)
     # wound with the window of the final run, never read by the walk
-    err, wound = _inject(monkeypatch, n0 + 8)
-    assert A.admissible_start(zeta_prime, 0.25, run=5) == n0
+    err, wound = _inject(monkeypatch, n0 + 8, raised)
+    assert A.admissible_start(F, 0.25, run=5) == n0
     assert n0 + 8 in wound
     # inside the final run: the walk reads it and raises its error
     monkeypatch.undo()
-    err, _ = _inject(monkeypatch, n0 + 2)
+    err, _ = _inject(monkeypatch, n0 + 2, raised)
     with pytest.raises(BoundaryTooClose) as info:
-        A.admissible_start(zeta_prime, 0.25, run=5)
+        A.admissible_start(F, 0.25, run=5)
     assert info.value is err
+
+
+def test_audit_raises_first_error_in_n_order(zeta_expr, monkeypatch):
+    # the window's call raises for n = 7; n = 5 returns its error first
+    _inject(monkeypatch, 7, raised=True)
+    first, _ = _inject(monkeypatch, 5, raised=False)
+    with pytest.raises(BoundaryTooClose) as info:
+        A.trivial_zero_audit(zeta_expr, 0.25, range(3, 9))
+    assert info.value is first
 
 
 def test_audit_logs_one_record_per_window(zeta_expr, caplog):
