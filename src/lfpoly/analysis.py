@@ -12,8 +12,8 @@ import numpy as np
 
 from . import expr as _expr
 from . import zeros as _zeros
-from .errors import BOutOfRange, ScanFailed
-from .evaluate import _reflection_region, asymptotic_fe_main, eval_F
+from .errors import BOutOfRange, RegionViolation, ScanFailed
+from .evaluate import asymptotic_fe_ratio
 
 log = logging.getLogger(__name__)
 
@@ -318,7 +318,7 @@ class FEReport:
     sigma: float
     points: list
     sign_matches: bool
-    decay_exponent: float  # fitted slope of log r against log log|s|
+    decay_exponent: float | None  # slope of log r on log log|s|; None below 2 heights
 
     @property
     def decreasing(self):
@@ -335,28 +335,19 @@ def asymptotic_fe_check(F, sigma, t_grid, profile=None) -> FEReport:
     if sigma <= 1.5:
         raise ValueError("sigma must exceed 3/2")
     S = sigma + 1j * np.asarray(t_grid, dtype=float).reshape(-1)
-    outside = S[~_reflection_region(F, S)]
-    if outside.size:
-        raise ValueError(
-            f"s = {complex(outside[0])} is outside the region of the "
-            "reflected asymptotic: it lies on or next to a shifted spectral "
-            "point"
-        )
     if profile is None:
         profile = _expr.degree_profile(F)
-    Fd = F.dual()
-    pts = []
-    signs_ok = True
-    for t in t_grid:
-        s = complex(sigma, t)
-        main = asymptotic_fe_main(F, s, profile)
-        direct = eval_F(Fd, 1 - s, rel_tol=1e-8)
-        ratio = direct / main
-        pts.append(FEPoint(t=float(t), ratio=ratio, r=abs(ratio - 1)))
-        if ratio.real <= 0:
-            signs_ok = False
-    xs = np.array([math.log(math.log(abs(complex(sigma, p.t)))) for p in pts])
-    ys = np.array([math.log(max(p.r, 1e-300)) for p in pts])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(pts) > 1 else float("nan")
-    return FEReport(sigma=sigma, points=pts, sign_matches=signs_ok,
+    try:
+        ratios = asymptotic_fe_ratio(F, S, profile, 1e-8)
+    except RegionViolation as e:  # a grid point is a bad option, not a failure
+        raise ValueError(str(e)) from None
+    pts = [FEPoint(t=float(t), ratio=complex(q), r=abs(complex(q) - 1))
+           for t, q in zip(t_grid, ratios)]
+    slope = None
+    if len(pts) > 1:
+        xs = [math.log(math.log(abs(complex(sigma, p.t)))) for p in pts]
+        ys = [math.log(max(p.r, 1e-300)) for p in pts]
+        slope = float(np.polyfit(xs, ys, 1)[0])
+    return FEReport(sigma=sigma, points=pts,
+                    sign_matches=all(p.ratio.real > 0 for p in pts),
                     decay_exponent=slope)

@@ -196,13 +196,13 @@ def cmd_fecheck(args):
         ],
         "signMatches": rep.sign_matches,
         "decreasing": rep.decreasing,
-        "decayExponent": rep.decay_exponent,
     }
-    lines = [f"t={p.t:g}: r={p.r:.6g}" for p in rep.points] + _table([
-        ("sign matches", rep.sign_matches),
-        ("decreasing", rep.decreasing),
-        ("decay exponent", rep.decay_exponent),
-    ])
+    table = [("sign matches", rep.sign_matches), ("decreasing", rep.decreasing)]
+    # a decay fit needs two heights
+    if rep.decay_exponent is not None:
+        doc["decayExponent"] = rep.decay_exponent
+        table.append(("decay exponent", rep.decay_exponent))
+    lines = [f"t={p.t:g}: r={p.r:.6g}" for p in rep.points] + _table(table)
     rows = [[p.t, p.ratio.real, p.ratio.imag, p.r] for p in rep.points]
     return (0, lines, doc, ["t", "ratioRe", "ratioIm", "r"], rows,
             [[p.t, p.r] for p in rep.points])

@@ -307,8 +307,9 @@ def _check_target(err):
 
 
 def _certified(v, b, err, s):
-    """v as a complex number if its error bound b meets the target err."""
-    if b > err:
+    """v as a complex number if its error bound b meets the target err; a
+    NaN bound meets none."""
+    if not b <= err:
         raise AccuracyUnreachable(
             f"achievable error {b:.2e} exceeds the target {err:.1e} at s = {s}"
         )
@@ -556,13 +557,16 @@ def lfunc_values(desc: LFunctionDescriptor, S):
 
 def _gate(C, trunc, rnd, S, rel_tol):
     """Raise AccuracyUnreachable where a Taylor table's truncation bound
-    exceeds rel_tol times its entry's magnitude plus its rounding bound."""
-    bad = trunc > rel_tol * np.abs(C) + rnd
+    exceeds rel_tol times its entry's magnitude plus its rounding bound, or
+    where an entry or a bound is not finite."""
+    bad = ~((trunc <= rel_tol * np.abs(C) + rnd) & np.isfinite(C)
+            & np.isfinite(rnd))
     if bad.any():
         l, i = (int(x[0]) for x in np.nonzero(bad))
         raise AccuracyUnreachable(
-            f"truncation bound {trunc[l, i]:.2e} of order {l} at s = {S[i]} "
-            f"exceeds the target {rel_tol:.1e}"
+            f"entry {C[l, i]:.3g} of order {l} at s = {S[i]}, with "
+            f"truncation bound {trunc[l, i]:.2e} and rounding bound "
+            f"{rnd[l, i]:.2e}, misses the target {rel_tol:.1e}"
         )
 
 
@@ -625,10 +629,15 @@ def _F_scaled(F, S, rel_tol, prime=False):
                     if k != j:
                         part = part * Dk[lk] ** dk
                 term_du[i] += part
-    g = term_g.max(axis=0)
-    w = np.exp(term_g - g)
+    g, w = _to_largest_g(term_g)
     return ((term_u * w).sum(axis=0), g, (np.abs(term_u) * w).sum(axis=0),
             (term_du * w).sum(axis=0))
+
+
+def _to_largest_g(term_g):
+    """(g, w): per point the largest g of the rows and their weights <= 1."""
+    g = term_g.max(axis=0)
+    return g, np.exp(term_g - g)
 
 
 def eval_F_batch(F, S, rel_tol=1e-9):
@@ -671,15 +680,6 @@ def log_fe_factor(desc: LFunctionDescriptor, s):
     return out.reshape(np.shape(s))[()]
 
 
-def reflected_lvalue(desc, s):
-    """L(1 - s, dual) computed from L(s, pi) through the reflection factor,
-    at a point or over an array of points."""
-    S = np.asarray(s, dtype=complex)
-    C, G, _, _ = _reflected(desc, S.reshape(-1), 0)
-    out = C[0] * np.exp(G)
-    return complex(out[0]) if S.ndim == 0 else out.reshape(S.shape)
-
-
 def b_factor(s, l, desc: LFunctionDescriptor):
     """Logarithmic weight attached to the l-th derivative under reflection,
     at a point or over an array of points.
@@ -711,37 +711,44 @@ def _reflection_region(F, S):
     return ok
 
 
-def asymptotic_fe_main(F, s, profile):
-    """Main term of F(1 - s, dual vector) predicted by the reflection formula.
+def asymptotic_fe_main(F, S, profile):
+    """Main term of F(1 - s, dual vector) predicted by the reflection
+    formula over an array S, as (u, g) with main = u exp(g).
 
-    Sums the leading monomials J only; the caller compares against a direct
-    evaluation of F(1 - s, dual) to measure the 1/log s decay.  Takes a
-    point, outside the valid region of which RegionViolation is raised, or
-    an array of points, where such points give nan.
+    Sums the leading monomials J only, each L(1 - s, dual) taken as the
+    (C[0], G) of _reflected, to the largest g as _F_scaled does.
+    RegionViolation is raised if any point lies outside the valid region.
     """
-    S = np.asarray(s, dtype=complex)
-    ok = _reflection_region(F, S.reshape(-1))
-    if S.ndim == 0 and not ok[0]:
+    S = np.atleast_1d(np.asarray(S, dtype=complex))
+    outside = S[~_reflection_region(F, S)]
+    if outside.size:
         raise RegionViolation(
-            f"s = {complex(S)} is outside the region of the reflected "
+            f"s = {outside[0]} is outside the region of the reflected "
             f"asymptotic: Re s > 3/2 and {_REGION_EPS} away from every "
             "shifted spectral point"
         )
-    V = S.reshape(-1)[ok]
     refl = {}
-    total = np.zeros(V.shape, dtype=complex)
-    for j in profile.J if V.size else ():
+    term_u = np.empty((len(profile.J), S.size), dtype=complex)
+    term_g = np.zeros(term_u.shape)
+    for i, j in enumerate(profile.J):
         m = F.monomials[j]
-        term = np.full(V.shape, complex(m.coeff))
-        per_lfunc = {}
+        tu = np.full(S.shape, complex(m.coeff))
         for fid, l, d in m.factors:
-            per_lfunc[fid] = per_lfunc.get(fid, 0) + d
-            term *= b_factor(V, l, F.lfuncs[fid]) ** d
-        for fid, dtot in per_lfunc.items():
             if fid not in refl:
-                refl[fid] = reflected_lvalue(F.lfuncs[fid], V)
-            term *= refl[fid] ** dtot
-        total += term
-    out = np.full(ok.shape, complex(np.nan, np.nan))
-    out[ok] = (-1) ** profile.deg_der * total
-    return complex(out[0]) if S.ndim == 0 else out.reshape(S.shape)
+                C, G, _, _ = _reflected(F.lfuncs[fid], S, 0)
+                refl[fid] = C[0], G
+            C0, G = refl[fid]
+            tu = tu * (b_factor(S, l, F.lfuncs[fid]) * C0) ** d
+            term_g[i] += d * G
+        term_u[i] = tu
+    g, w = _to_largest_g(term_g)
+    return (-1) ** profile.deg_der * (term_u * w).sum(axis=0), g
+
+
+def asymptotic_fe_ratio(F, S, profile, rel_tol):
+    """F(1 - s, dual) over its reflected main term at each point of the
+    array S.  Both sides stay u exp(g) until their ratio, which is O(1)
+    however far right s lies, is formed."""
+    um, gm = asymptotic_fe_main(F, S, profile)
+    ud, gd = eval_F_scaled_batch(F.dual(), 1 - S, rel_tol)
+    return ud / um * np.exp(gd - gm)

@@ -24,9 +24,9 @@ from .errors import (
 )
 from . import expr as _expr
 from .evaluate import (
-    asymptotic_fe_main,
+    _reflection_region,
+    asymptotic_fe_ratio,
     eval_F,
-    eval_F_batch,
     eval_F_scaled_batch,
     eval_F_with_prime,
 )
@@ -228,7 +228,7 @@ def _turns(F, rect, edges, moments):
         if isinstance(e, Exception):
             return e
     w = sum(sign * e[0] for sign, e in edges) / (2 * np.pi)
-    if abs(w - round(w)) > _SNAP:
+    if not (math.isfinite(w) and abs(w - round(w)) <= _SNAP):
         return PhaseUnresolved(
             f"accumulated phase {w:.3f} turns is not within {_SNAP} "
             "of an integer"
@@ -525,10 +525,9 @@ def zero_free_bounds(F, profile=None) -> StripBounds:
     default_E1 = -10 - mu_max
     E1 = None
     method = "scan"
-    Fd = F.dual()
     tgrid = np.arange(2.0, 50.0 + 1e-9, 0.1)
     for sigma in range(-1, int(math.floor(default_E1)) - 1, -1):
-        if _scan_line_dominates(F, Fd, profile, sigma, tgrid):
+        if _scan_line_dominates(F, profile, sigma, tgrid):
             E1 = float(sigma)
             break
     if E1 is None:
@@ -537,8 +536,9 @@ def zero_free_bounds(F, profile=None) -> StripBounds:
     return StripBounds(E1=E1, E2=float(E2), E2certified=True, E1method=method)
 
 
-def _scan_line_dominates(F, Fd, profile, sigma, tgrid):
-    """True if the main term dominates at every valid height of the line.
+def _scan_line_dominates(F, profile, sigma, tgrid):
+    """True if the main term dominates at every valid height of the line:
+    F(1 - s, dual) is within half the main term of it.
 
     Heights go _SCAN_CHUNK at a time, one evaluation each, and the scan
     stops with the chunk that holds the first height where it does not.
@@ -546,12 +546,11 @@ def _scan_line_dominates(F, Fd, profile, sigma, tgrid):
     checked = False
     for i in range(0, len(tgrid), _SCAN_CHUNK):
         s = (1 - sigma) + 1j * tgrid[i : i + _SCAN_CHUNK]
-        main = asymptotic_fe_main(F, s, profile)
-        ok = ~np.isnan(main)
-        if not ok.any():
+        s = s[_reflection_region(F, s)]
+        if not s.size:
             continue
-        direct, _ = eval_F_batch(Fd, 1 - s[ok], rel_tol=1e-6)
-        if not np.all(np.abs(direct - main[ok]) < np.abs(main[ok]) / 2):
+        ratio = asymptotic_fe_ratio(F, s, profile, 1e-6)
+        if not np.all(np.abs(ratio - 1) < 0.5):
             return False
         checked = True
     return checked

@@ -228,6 +228,19 @@ def test_fe_check_zeta(zeta_expr):
     assert rep.sign_matches
 
 
+def test_fe_check_far_right_stays_finite(zeta_prime):
+    # both sides leave the double range past sigma ~ 250; kept as u exp(g)
+    # until the ratio, r stays finite and falls as sigma grows (about 0.367,
+    # 0.313 and 0.266 at t = 20)
+    rs = [[p.r for p in A.asymptotic_fe_check(zeta_prime, sigma,
+                                               [20.0, 80.0]).points]
+          for sigma in (400.0, 1000.0, 3000.0)]
+    assert all(math.isfinite(r) for row in rs for r in row)
+    for at_t in zip(*rs):
+        assert at_t[0] > at_t[1] > at_t[2]
+    assert rs[0][0] == pytest.approx(0.367, abs=1e-3)
+
+
 def test_fe_check_zeta_prime_decay(zeta_prime):
     rep = A.asymptotic_fe_check(zeta_prime, 3.0, [20.0, 40.0, 80.0, 160.0])
     assert rep.decreasing

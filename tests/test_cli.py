@@ -2,17 +2,19 @@ import csv
 import importlib.resources as res
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 import lfpoly.schemas
 from lfpoly import cli, exprfile
 
-from conftest import zpoly
+from conftest import ZETA, build, zpoly
 
 ZETA_FILE = """\
 {
@@ -38,6 +40,14 @@ def zeta_prime_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture()
+def dzeta_chi4_file(tmp_path, l_chi4):
+    p = tmp_path / "dzeta_chi4.json"
+    exprfile.dump(build([(1.0, [(ZETA, 1, 1), (l_chi4, 0, 1)])],
+                        [ZETA, l_chi4]), p)
+    return str(p)
+
+
 def _schema(name):
     return json.loads(
         res.files(lfpoly.schemas).joinpath(f"{name}.schema.json").read_text()
@@ -48,9 +58,14 @@ def _run(argv):
     return cli.main(argv)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def _load(out, name):
+    # strict: NaN and Infinity are not JSON
     with open(f"{out}/{name}.json") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=_no_constant)
     jsonschema.validate(doc, _schema(name))
     return doc
 
@@ -123,16 +138,42 @@ def test_audit(zeta_file, tmp_path, capsys):
 
 
 def test_fecheck(zeta_file, tmp_path, capsys):
+    # a decay fit needs two heights: one gives no exponent
+    for grid, fit in (("30,60", True), ("50", False)):
+        out = str(tmp_path / grid)
+        assert _run(["fecheck", zeta_file, "-o", out, "--sigma", "3",
+                     "--t-grid", grid]) == 0
+        heights = grid.split(",")
+        assert _labels(capsys) == [f"t={t}" for t in heights] + [
+            "sign matches", "decreasing"] + ["decay exponent"] * fit
+        doc = _load(out, "fecheck")
+        assert doc["signMatches"]
+        assert len(doc["points"]) == len(heights)
+        assert ("decayExponent" in doc) == fit
+
+
+def test_fecheck_far_right(zeta_prime_file, tmp_path):
+    # past sigma ~ 250 both sides of the ratio leave the double range
     out = str(tmp_path / "o")
-    assert _run(
-        ["fecheck", zeta_file, "-o", out, "--sigma", "3", "--t-grid", "30,60"]
-    ) == 0
-    assert _labels(capsys) == [
-        "t=30", "t=60", "sign matches", "decreasing", "decay exponent",
-    ]
+    assert _run(["fecheck", zeta_prime_file, "-o", out, "--sigma", "400"]) == 0
     doc = _load(out, "fecheck")
-    assert doc["signMatches"]
-    assert len(doc["points"]) == 2
+    assert all(math.isfinite(p["r"]) for p in doc["points"])
+    assert doc["decreasing"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    # L(s, chi_4) is NaN left of sigma ~ -511: (1/4)^-sigma overflows
+    ["fecheck", "--sigma", "800"],
+    ["audit", "--epsilon", "0.15"],
+])
+def test_non_finite_values_are_numeric_errors(dzeta_chi4_file, tmp_path,
+                                              capsys, argv):
+    out = str(tmp_path / "o")
+    with np.errstate(all="ignore"):
+        assert _run(argv[:1] + [dzeta_chi4_file, "-o", out] + argv[1:]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, _schema("error"))
+    assert doc["error"]["type"] == "AccuracyUnreachable"
 
 
 def test_fecheck_spectral_point_is_usage_error(zeta_prime_file, tmp_path,

@@ -100,6 +100,19 @@ def test_dirichlet_l_entire_at_1_and_deep(chi4):
     assert abs(got - ref) < 1e-7 * max(1.0, abs(ref))
 
 
+def test_non_finite_values_fail(chi4):
+    # (1/4)^-513 overflows a double, so L(513, chi_4) sums to NaN: its NaN
+    # bound meets no target, and a table holding a NaN or an infinite
+    # bound fails the gate
+    with np.errstate(all="ignore"), pytest.raises(AccuracyUnreachable):
+        ev.dirichlet_l(513.0, chi4)
+    S = np.array([2.0 + 0j])
+    for C, rnd in ((np.nan, 0.0), (1.0, np.inf), (1.0, np.nan)):
+        with pytest.raises(AccuracyUnreachable):
+            ev._gate(np.array([[C]], dtype=complex), np.zeros((1, 1)),
+                     np.array([[rnd]]), S, 1e-9)
+
+
 def test_principal_character_pole(chi3):
     from lfpoly import characters as chars
 
@@ -425,6 +438,26 @@ def test_asymptotic_fe_region_guard():
     profile = E.degree_profile(F)
     with pytest.raises(RegionViolation):
         ev.asymptotic_fe_main(F, 1.2 + 0j, profile)
+    # one point outside is enough: 3 = 2 * 2 - 1 is a shifted spectral point
+    with pytest.raises(RegionViolation):
+        ev.asymptotic_fe_main(F, np.array([3.0 + 20j, 3.0 + 0.05j]), profile)
+
+
+@pytest.mark.parametrize("sigma", [3.0, 50.0, 150.0])
+def test_asymptotic_fe_main_scaled_oracle(zeta_prime, sigma):
+    # for zeta' the main term is -b(s) zeta(1 - s), b(s) = (log(s / 2) +
+    # log((1 + s) / 2)) / 2; u exp(g) against mpmath in log magnitude and
+    # phase, where the plain value leaves the double range at sigma = 150
+    from lfpoly import expr as E
+
+    S = sigma + 1j * np.array([20.0, 80.0])
+    u, g = ev.asymptotic_fe_main(zeta_prime, S, E.degree_profile(zeta_prime))
+    for s, ui, gi in zip(S, u, g):
+        z = mp.mpc(s)
+        ref = -(mp.log(z / 2) + mp.log((1 + z) / 2)) / 2 * mp.zeta(1 - z)
+        assert abs(math.log(abs(ui)) + gi - float(mp.log(abs(ref)))) < 1e-10
+        dphase = cmath.phase(ui) - float(mp.arg(ref))
+        assert abs((dphase + math.pi) % (2 * math.pi) - math.pi) < 1e-10
 
 
 # log Gamma and digamma against mpmath: within the stated Stirling bound

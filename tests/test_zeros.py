@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from lfpoly import analysis as A
+from lfpoly import evaluate as ev
 from lfpoly import expr as E
 from lfpoly import zeros as Z
-from lfpoly.errors import BoundaryTooClose
+from lfpoly.errors import BoundaryTooClose, PhaseUnresolved
 
 from conftest import zpoly
 
@@ -47,6 +48,23 @@ def test_boundary_through_zero_raises(zeta_expr):
     # the retry recovers: the two sides through the zero move off it
     [(w, _)] = Z._wind_each(zeta_expr, [rect])
     assert w in (0, 1)
+
+
+def test_nan_samples_end_their_cell(zeta_expr, monkeypatch):
+    # an evaluator that gives NaN above t = 50 ends the cell there with a
+    # numeric error and leaves the cell below it alone
+    real = Z.eval_F_scaled_batch
+
+    def nan_above_50(F, S, rel_tol):
+        u, g = real(F, S, rel_tol)
+        return np.where(S.imag > 50, np.nan, u), g
+
+    monkeypatch.setattr(Z, "eval_F_scaled_batch", nan_above_50)
+    (w1, _), (w2, _) = Z._wind_each(zeta_expr, [
+        Z.Rectangle(0.2, 0.8, 13.5, 15.0), Z.Rectangle(0.2, 0.8, 60.0, 61.0),
+    ])
+    assert w1 == 1
+    assert isinstance(w2, PhaseUnresolved)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -271,13 +289,13 @@ def test_e1_scan_stops_at_first_failure(k, monkeypatch):
     # zeta' and zeta''; each line is given up with the chunk of heights
     # that holds its first failing height, the first chunk on every line
     calls = []
-    real = Z.eval_F_batch
+    real = ev.eval_F_scaled_batch
 
     def counted(*args, **kw):
         calls.append(len(args[1]))
         return real(*args, **kw)
 
-    monkeypatch.setattr(Z, "eval_F_batch", counted)
+    monkeypatch.setattr(ev, "eval_F_scaled_batch", counted)
     sb = Z.zero_free_bounds(zpoly((1.0, [(k, 1)])))
     assert (sb.E1, sb.E1method) == (-10.0, "default")
     assert calls == [Z._SCAN_CHUNK] * 10
@@ -287,13 +305,13 @@ def test_e1_scan_zeta_checks_every_height(zeta_expr, monkeypatch):
     # for zeta the main term dominates at every height of sigma = -1, so
     # the scan evaluates the whole line, chunk by chunk, and stops there
     calls = []
-    real = Z.eval_F_batch
+    real = ev.eval_F_scaled_batch
 
     def counted(*args, **kw):
         calls.append(len(args[1]))
         return real(*args, **kw)
 
-    monkeypatch.setattr(Z, "eval_F_batch", counted)
+    monkeypatch.setattr(ev, "eval_F_scaled_batch", counted)
     sb = Z.zero_free_bounds(zeta_expr)
     assert (sb.E1, sb.E1method, sb.E2) == (-1.0, "scan", 3.0)
     assert sum(calls) == 481 and max(calls) == Z._SCAN_CHUNK
