@@ -23,7 +23,6 @@ class LFunctionDescriptor:
     spectral_params: tuple  # rank complex numbers mu_r
     pole_order: int  # 1 iff Riemann zeta, else 0
     root_number: complex
-    self_dual: bool
     contragredient_id: str
     kind: str = "zeta"  # zeta | dirichlet
     character: object = None
@@ -49,7 +48,6 @@ def zeta_descriptor() -> LFunctionDescriptor:
         spectral_params=(0j,),
         pole_order=1,
         root_number=1.0 + 0j,
-        self_dual=True,
         contragredient_id="zeta",
         kind="zeta",
     )
@@ -70,7 +68,6 @@ def dirichlet_descriptor(chi: chars.Character, id: str = None) -> LFunctionDescr
         d = zeta_descriptor()
         return replace(d, id=id, contragredient_id=id) if id else d
     did = id or f"chi_{chi.modulus}_{chi.index}"
-    conj = chi.conjugate()
     return LFunctionDescriptor(
         id=did,
         rank=1,
@@ -78,8 +75,7 @@ def dirichlet_descriptor(chi: chars.Character, id: str = None) -> LFunctionDescr
         spectral_params=(complex(chi.parity),),
         pole_order=0,
         root_number=chars.root_number(chi),
-        self_dual=(conj.index == chi.index),
-        contragredient_id=f"chi_{chi.modulus}_{conj.index}",
+        contragredient_id=f"chi_{chi.modulus}_{chi.conjugate().index}",
         kind="dirichlet",
         character=chi,
     )

@@ -20,7 +20,8 @@ and sums in row chunks of points, so its temporaries do not grow with the
 batch.
 The reflection factor's log Gamma is Stirling's series after a shift to
 Re >= 8, as a power series too (_loggamma); numpy is the only dependency.
-Expression values combine the per-factor scaled tables.
+One truncated series product over the monomials (_sum_monomials) gives
+expression values, F' for Newton, the reflected main term and the pole order.
 """
 
 from __future__ import annotations
@@ -238,18 +239,20 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     else:
         usig, ut = sig, t
         chunks = [(rows, rows, rows) for rows in chunks]
-    for i0 in range(0, N, B):
-        blk = logs[i0 : i0 + B]
-        emod = np.exp(-np.multiply.outer(usig, blk))
-        ph = np.multiply.outer(ut, blk)
-        cos, sin = np.cos(ph), np.sin(ph)
-        Pb, aPb = P[i0 : i0 + B], aP[i0 : i0 + B]
-        for rows, js, jt in chunks:
-            mod = emod[js]
-            re[rows] += (mod * cos[jt]) @ Pb
-            im[rows] -= (mod * sin[jt]) @ Pb
-            mass[rows] += mod @ aPb
-    C = (re + 1j * im).T
+    # far right (k + a)^-sigma may overflow; the gate refuses what it gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, N, B):
+            blk = logs[i0 : i0 + B]
+            emod = np.exp(-np.multiply.outer(usig, blk))
+            ph = np.multiply.outer(ut, blk)
+            cos, sin = np.cos(ph), np.sin(ph)
+            Pb, aPb = P[i0 : i0 + B], aP[i0 : i0 + B]
+            for rows, js, jt in chunks:
+                mod = emod[js]
+                re[rows] += (mod * cos[jt]) @ Pb
+                im[rows] -= (mod * sin[jt]) @ Pb
+                mass[rows] += mod @ aPb
+        C = (re + 1j * im).T
     mass = mass.T
     L = math.log(N + a)
     tail, tail_mass = _tail_series(S, L, n, subtract_pole)
@@ -326,8 +329,6 @@ def hurwitz_zeta(s, a=1.0, err=1e-10):
 def zeta(s, err=1e-10):
     """Riemann zeta with certified absolute error at most err."""
     _check_target(err)
-    if abs(complex(s) - 1) < _POLE_GUARD:
-        raise PoleAt1("zeta requested too close to s = 1")
     v, b = lfunc_values(zeta_descriptor(), np.array([s]))
     return _certified(v[0], b[0], err, s)
 
@@ -340,23 +341,25 @@ def _dirichlet_batch(S, chi, lmax=0):
     S = np.atleast_1d(np.asarray(S, dtype=complex))
     if principal and np.any(np.abs(S - 1) < _POLE_GUARD):
         raise PoleAt1("principal-character L-function has a pole at s = 1")
-    C = trunc = rnd = mass = 0
-    for a in range(1, q + 1):
-        c = chi(a)
-        if c == 0:
-            continue
-        # for non-principal chi the 1/(s-1) poles cancel since the character
-        # values sum to zero, so use the pole-subtracted Hurwitz variant
-        Ca, ta, ra = _hurwitz_batch(S, a / q, lmax, subtract_pole=not principal)
-        C = C + c * Ca
-        trunc = trunc + abs(c) * ta
-        rnd = rnd + abs(c) * ra
-        mass = mass + abs(c) * np.abs(Ca)
-    # times q^-(s+e)
+    # the character sum is multiplied by q^-(s+e)
     lq = math.log(q)
     Z = np.exp(-S * lq) * np.array([(-lq) ** j / math.factorial(j) for j in range(lmax + 1)])[:, None]
     aZ = np.abs(Z)
-    return _smul(C, Z), _smul(trunc, aZ), _smul(rnd + 2 * _EPS * mass, aZ)
+    C = trunc = rnd = mass = 0
+    # an overflowed Hurwitz entry passes through as infinite or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(1, q + 1):
+            c = chi(a)
+            if c == 0:
+                continue
+            # non-principal chi: the 1/(s - 1) poles cancel, since the
+            # character values sum to zero; use the pole-subtracted variant
+            Ca, ta, ra = _hurwitz_batch(S, a / q, lmax, subtract_pole=not principal)
+            C = C + c * Ca
+            trunc = trunc + abs(c) * ta
+            rnd = rnd + abs(c) * ra
+            mass = mass + abs(c) * np.abs(Ca)
+        return _smul(C, Z), _smul(trunc, aZ), _smul(rnd + 2 * _EPS * mass, aZ)
 
 
 def dirichlet_l(s, chi, err=1e-10):
@@ -520,8 +523,9 @@ def _reflected(desc, W, lmax):
     # _loggamma and the phase exp(i Im log Phi) carry a relative
     # error that grows with |log Phi| ~ |W log W|
     rel = 1e-13 * (1 + np.abs(W))
-    return (_smul(Phi, C), G, _smul(mass, trunc),
-            _smul(mass, rnd) + rel * _smul(mass, np.abs(C)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_smul(Phi, C), G, _smul(mass, trunc),
+                _smul(mass, rnd) + rel * _smul(mass, np.abs(C)))
 
 
 def _lfunc_taylor(desc, S, lmax):
@@ -599,52 +603,57 @@ def lfunc_derivatives(desc, S, lmax, rel_tol=1e-9):
     return D * np.exp(G)[None, :]
 
 
-def _F_scaled(F, S, rel_tol, prime=False):
-    """F over S as (u, g, mass, du): F = u exp(g), mass is the sum of the
-    monomial magnitudes and, with prime, F' = du exp(g), all in one scale."""
+def _sum_monomials(monomials, factor, n, size):
+    """(u, g, mass): sum_m c_m prod L^(l)(s + e)^d = exp(g) sum_k u[k] e^k
+    as truncated power series to order n - 1, rows of shape (n, size).
+
+    factor(fid, l) gives the Taylor rows of L^(l)(s + e) and their g.  Each
+    monomial is the truncated product (_smul) of its factor rows, d times
+    each, at its own g = sum d g, with the product of the absolute rows
+    alongside in mass; the monomials are summed at the largest g.
+    """
+    u = np.zeros((len(monomials), n, size), dtype=complex)
+    mass = np.zeros(u.shape)
+    g = np.zeros((len(monomials), size))
+    for i, m in enumerate(monomials):
+        u[i, 0], mass[i, 0] = m.coeff, abs(m.coeff)
+        for fid, l, d in m.factors:
+            rows, G = factor(fid, l)
+            for _ in range(d):
+                u[i], mass[i] = _smul(u[i], rows), _smul(mass[i], np.abs(rows))
+            g[i] += d * G
+    gmax = g.max(axis=0)
+    w = np.exp(g - gmax)[:, None]
+    return (u * w).sum(axis=0), gmax, (mass * w).sum(axis=0)
+
+
+def _F_scaled(F, S, rel_tol, n=1):
+    """F(s + e) over S as a series to order n - 1, (u, g, mass) as
+    _sum_monomials gives it: row k of u exp(g) is F^(k)(s) / k!, so n = 2
+    carries F' for Newton."""
     S = np.atleast_1d(np.asarray(S, dtype=complex))
     needed = {}
     for m in F.monomials:
         for fid, l, _ in m.factors:
-            needed[fid] = max(needed.get(fid, 0), l + prime)
+            needed[fid] = max(needed.get(fid, 0), l + n - 1)
     tables = {
         fid: lfunc_derivatives_scaled(F.lfuncs[fid], S, lmax, rel_tol)
         for fid, lmax in needed.items()
     }
-    shape = (len(F.monomials), S.size)
-    term_u = np.empty(shape, dtype=complex)
-    term_du = np.zeros(shape, dtype=complex)
-    term_g = np.zeros(shape)
-    for i, m in enumerate(F.monomials):
-        facs = [(*tables[fid], l, d) for fid, l, d in m.factors]
-        tu = np.full(S.shape, m.coeff, dtype=complex)
-        for D, _, l, d in facs:
-            tu = tu * D[l] ** d
-        term_u[i] = tu
-        term_g[i] = sum(d * G for _, G, _, d in facs)
-        if prime:
-            for j, (D, _, l, d) in enumerate(facs):
-                part = m.coeff * d * D[l + 1] * D[l] ** (d - 1)
-                for k, (Dk, _, lk, dk) in enumerate(facs):
-                    if k != j:
-                        part = part * Dk[lk] ** dk
-                term_du[i] += part
-    g, w = _to_largest_g(term_g)
-    return ((term_u * w).sum(axis=0), g, (np.abs(term_u) * w).sum(axis=0),
-            (term_du * w).sum(axis=0))
+    fact = np.array([math.factorial(k) for k in range(n)])[:, None]
 
+    def factor(fid, l):
+        D, G = tables[fid]
+        return D[l : l + n] / fact, G
 
-def _to_largest_g(term_g):
-    """(g, w): per point the largest g of the rows and their weights <= 1."""
-    g = term_g.max(axis=0)
-    return g, np.exp(term_g - g)
+    return _sum_monomials(F.monomials, factor, n, S.size)
 
 
 def eval_F_batch(F, S, rel_tol=1e-9):
     """(values, error estimates) of the expression F over an array of points."""
-    u, g, mass, _ = _F_scaled(F, S, rel_tol)
+    u, g, mass = _F_scaled(F, S, rel_tol)
     scale = np.exp(g)
-    return u * scale, rel_tol * (mass * scale) * (len(F.monomials) + F.max_deriv)
+    return u[0] * scale, rel_tol * (mass[0] * scale) * (len(F.monomials) + F.max_deriv)
 
 
 def eval_F(F, s, rel_tol=1e-9):
@@ -654,15 +663,15 @@ def eval_F(F, s, rel_tol=1e-9):
 
 def eval_F_with_prime(F, s, rel_tol=1e-9):
     """(F(s), F'(s)) for Newton refinement."""
-    u, g, _, du = _F_scaled(F, np.array([s]), rel_tol, prime=True)
+    u, g, _ = _F_scaled(F, np.array([s]), rel_tol, 2)
     scale = np.exp(g[0])
-    return complex(u[0] * scale), complex(du[0] * scale)
+    return complex(u[0, 0] * scale), complex(u[1, 0] * scale)
 
 
 def eval_F_scaled_batch(F, S, rel_tol=1e-9):
     """(u, g) with F(s) = u exp(g), usable arbitrarily far left of the strip."""
-    u, g, _, _ = _F_scaled(F, S, rel_tol)
-    return u, g
+    u, g, _ = _F_scaled(F, S, rel_tol)
+    return u[0], g
 
 
 # --- functional-equation pieces ------------------------------------------
@@ -682,7 +691,7 @@ def log_fe_factor(desc: LFunctionDescriptor, s):
 
 def b_factor(s, l, desc: LFunctionDescriptor):
     """Logarithmic weight attached to the l-th derivative under reflection,
-    at a point or over an array of points.
+    over an array of points.
 
     Equals g(s)^l with g the half-sum of log((s + mu_r)/2) and
     log((1 + s - conj(mu_r))/2) over the spectral parameters; 1 at l = 0.
@@ -693,8 +702,7 @@ def b_factor(s, l, desc: LFunctionDescriptor):
         for mu in desc.spectral_params:
             mub = complex(mu).conjugate()
             g += np.log((s + mu) / 2) + np.log((1 + s - mub) / 2)
-    out = (0.5 * g) ** l
-    return complex(out) if s.ndim == 0 else out
+    return (0.5 * g) ** l
 
 
 def _reflection_region(F, S):
@@ -715,8 +723,9 @@ def asymptotic_fe_main(F, S, profile):
     """Main term of F(1 - s, dual vector) predicted by the reflection
     formula over an array S, as (u, g) with main = u exp(g).
 
-    Sums the leading monomials J only, each L(1 - s, dual) taken as the
-    (C[0], G) of _reflected, to the largest g as _F_scaled does.
+    Sums the leading monomials J only through _sum_monomials, as _F_scaled
+    does, with each L^(l)(1 - s, dual) replaced by its leading asymptotic,
+    b_factor times the (C[0], G) of _reflected.
     RegionViolation is raised if any point lies outside the valid region.
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
@@ -728,21 +737,16 @@ def asymptotic_fe_main(F, S, profile):
             "shifted spectral point"
         )
     refl = {}
-    term_u = np.empty((len(profile.J), S.size), dtype=complex)
-    term_g = np.zeros(term_u.shape)
-    for i, j in enumerate(profile.J):
-        m = F.monomials[j]
-        tu = np.full(S.shape, complex(m.coeff))
-        for fid, l, d in m.factors:
-            if fid not in refl:
-                C, G, _, _ = _reflected(F.lfuncs[fid], S, 0)
-                refl[fid] = C[0], G
-            C0, G = refl[fid]
-            tu = tu * (b_factor(S, l, F.lfuncs[fid]) * C0) ** d
-            term_g[i] += d * G
-        term_u[i] = tu
-    g, w = _to_largest_g(term_g)
-    return (-1) ** profile.deg_der * (term_u * w).sum(axis=0), g
+
+    def factor(fid, l):
+        if fid not in refl:
+            C, G, _, _ = _reflected(F.lfuncs[fid], S, 0)
+            refl[fid] = C[0], G
+        C0, G = refl[fid]
+        return (b_factor(S, l, F.lfuncs[fid]) * C0)[None], G
+
+    u, g, _ = _sum_monomials([F.monomials[j] for j in profile.J], factor, 1, S.size)
+    return (-1) ** profile.deg_der * u[0], g
 
 
 def asymptotic_fe_ratio(F, S, profile, rel_tol):

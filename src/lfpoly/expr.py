@@ -19,7 +19,7 @@ import numpy as np
 from .constants import LOG_2PI_E, TWO_PI
 from .descriptors import contragredient
 from .errors import AssumptionViolated, NumericallyAmbiguous, ZeroExpression
-from .evaluate import _direct_batch, _gate, _hurwitz_batch, _smul, eval_F
+from .evaluate import _direct_batch, _gate, _hurwitz_batch, _sum_monomials, eval_F
 
 _ZERO_COEFF_TOL = 1e-14
 _SUMCJ_REL_TOL = 1e-12
@@ -376,22 +376,22 @@ def predicted_count(F: PolyExpression, T: float, profile: DegreeProfile = None) 
 # --- pole order at s = 1 --------------------------------------------------
 
 def _at_1(desc, l, n):
-    """Taylor coefficients 0 .. n - 1 in w of w^(l + 1) L^(l)(1 + w) if L
-    has its pole at s = 1, else of L^(l)(1 + w).  The pole's part is (-1)^l
-    l! w^(-l - 1); the rest is the kernel's table at s = 1 (zeta's with its
-    pole subtracted), differentiated l times and gated like every derivative
-    table."""
+    """Taylor rows 0 .. n - 1 in w, of shape (n, 1), of w^(l + 1) L^(l)(1 +
+    w) if L has its pole at s = 1, else of L^(l)(1 + w).  The pole's part
+    is (-1)^l l! w^(-l - 1); the rest is the kernel's table at s = 1
+    (zeta's with its pole subtracted), differentiated l times and gated
+    like every derivative table."""
     lead = [(-1) ** l * math.factorial(l)] + [0] * l if desc.pole_order else []
     k = n - len(lead)
-    if k <= 0:
-        return lead[:n]
-    S = np.array([1.0 + 0j])
-    if desc.pole_order:
-        C, trunc, rnd = _hurwitz_batch(S, 1.0, l + k - 1, subtract_pole=True)
-    else:
-        C, trunc, rnd = _direct_batch(desc, S, l + k - 1)
-    _gate(C, trunc, rnd, S, 1e-9)
-    return lead + [C[l + j, 0] * math.perm(l + j, l) for j in range(k)]
+    if k > 0:
+        S = np.array([1.0 + 0j])
+        if desc.pole_order:
+            C, trunc, rnd = _hurwitz_batch(S, 1.0, l + k - 1, subtract_pole=True)
+        else:
+            C, trunc, rnd = _direct_batch(desc, S, l + k - 1)
+        _gate(C, trunc, rnd, S, 1e-9)
+        lead += [C[l + j, 0] * math.perm(l + j, l) for j in range(k)]
+    return np.array(lead[:n])[:, None]
 
 
 def pole_order(F: PolyExpression) -> int:
@@ -400,10 +400,10 @@ def pole_order(F: PolyExpression) -> int:
     With P the largest pole weight sum (l + 1) d over the zeta factors of
     one monomial, w^P F(1 + w) is entire.  Its Taylor coefficients of
     orders 0 .. P - 1 are truncated series products of the factors' tables
-    at s = 1 (_at_1), with their absolute masses alongside; a monomial of
-    weight p enters shifted by P - p.  Cancellations across monomials are
-    resolved against those masses and cross-checked by a numeric probe at
-    radii 1e-2 and 1e-3.
+    at s = 1 (_at_1), with their absolute masses alongside, one monomial
+    per _sum_monomials call; a monomial of weight p enters shifted by
+    P - p.  Cancellations across monomials are resolved against those
+    masses and cross-checked by a numeric probe at radii 1e-2 and 1e-3.
     """
     weights = [
         sum((l + 1) * d for fid, l, d in m.factors if F.lfuncs[fid].pole_order == 1)
@@ -417,13 +417,10 @@ def pole_order(F: PolyExpression) -> int:
     for m, p in zip(F.monomials, weights):
         if p == 0:
             continue  # entire at s = 1: nothing below order P
-        u = au = [1.0] + [0.0] * (p - 1)
-        for fid, l, d in m.factors:
-            t = np.array(_at_1(F.lfuncs[fid], l, p))
-            for _ in range(d):
-                u, au = _smul(u, t), _smul(au, np.abs(t))
-        c[P - p :] += m.coeff * u
-        a[P - p :] += abs(m.coeff) * au
+        u, _, au = _sum_monomials(
+            [m], lambda fid, l: (_at_1(F.lfuncs[fid], l, p), 0), p, 1)
+        c[P - p :] += u[:, 0]
+        a[P - p :] += au[:, 0]
     scale = a.max()
     for k, ci, ai in zip(range(-P, 0), c, a):
         if abs(ci) > 1e-10 * max(ai, scale * 1e-6):

@@ -8,7 +8,6 @@ import subprocess
 import sys
 
 import jsonschema
-import numpy as np
 import pytest
 
 import lfpoly.schemas
@@ -169,11 +168,25 @@ def test_fecheck_far_right(zeta_prime_file, tmp_path):
 def test_non_finite_values_are_numeric_errors(dzeta_chi4_file, tmp_path,
                                               capsys, argv):
     out = str(tmp_path / "o")
-    with np.errstate(all="ignore"):
-        assert _run(argv[:1] + [dzeta_chi4_file, "-o", out] + argv[1:]) == 1
+    assert _run(argv[:1] + [dzeta_chi4_file, "-o", out] + argv[1:]) == 1
     doc = json.loads(capsys.readouterr().out)
     jsonschema.validate(doc, _schema("error"))
     assert doc["error"]["type"] == "AccuracyUnreachable"
+
+
+# the overflow is reported by the error document alone: in a fresh process
+# no numpy RuntimeWarning reaches stderr
+def test_overflow_leaves_stderr_empty(dzeta_chi4_file, tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("LFD_LOG", None)
+    out = subprocess.run(
+        [sys.executable, "-m", "lfpoly.cli", "fecheck", dzeta_chi4_file,
+         "-o", str(tmp_path / "o"), "--sigma", "800"],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == 1
+    assert json.loads(out.stdout)["error"]["type"] == "AccuracyUnreachable"
+    assert out.stderr == ""
 
 
 def test_fecheck_spectral_point_is_usage_error(zeta_prime_file, tmp_path,

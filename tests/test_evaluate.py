@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -103,9 +104,14 @@ def test_dirichlet_l_entire_at_1_and_deep(chi4):
 def test_non_finite_values_fail(chi4):
     # (1/4)^-513 overflows a double, so L(513, chi_4) sums to NaN: its NaN
     # bound meets no target, and a table holding a NaN or an infinite
-    # bound fails the gate
-    with np.errstate(all="ignore"), pytest.raises(AccuracyUnreachable):
-        ev.dirichlet_l(513.0, chi4)
+    # bound fails the gate; with warnings turned into errors the overflow
+    # still ends in AccuracyUnreachable, not in numpy's RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: ev.hurwitz_zeta(600.0, 0.25),
+                     lambda: ev.dirichlet_l(513.0, chi4)):
+            with pytest.raises(AccuracyUnreachable):
+                call()
     S = np.array([2.0 + 0j])
     for C, rnd in ((np.nan, 0.0), (1.0, np.inf), (1.0, np.nan)):
         with pytest.raises(AccuracyUnreachable):
@@ -172,14 +178,29 @@ def test_eval_F_composite_oracle():
         assert abs(got - ref) < 1e-7 * max(1.0, abs(ref)), s
 
 
-def test_eval_F_with_prime_consistency():
-    F = zpoly((1.0, [(1, 2)]), (0.5, [(0, 1)]))
-    s = 0.75 + 9.0j
-    v, vp = ev.eval_F_with_prime(F, s)
-    h = 1e-5
-    num = (ev.eval_F(F, s + h) - ev.eval_F(F, s - h)) / (2 * h)
-    assert abs(v - ev.eval_F(F, s)) < 1e-9 * max(1.0, abs(v))
-    assert abs(vp - num) < 1e-4 * max(1.0, abs(vp))
+def _mp_l_chi4(z):
+    return mp.power(4, -z) * (mp.zeta(z, mp.mpf(1) / 4) - mp.zeta(z, mp.mpf(3) / 4))
+
+
+# F and F' from one series product against mpmath's diff: a sum of
+# monomials, two different L-functions in one monomial, and a squared factor
+# far left, where the tables carry g != 0
+def test_eval_F_with_prime_consistency(l_chi4):
+    dz = lambda z, k=1: mp.zeta(z, 1, k)
+    cases = [
+        (zpoly((1.0, [(1, 2)]), (0.5, [(0, 1)])),
+         lambda z: dz(z) ** 2 + 0.5 * mp.zeta(z), 0.75 + 9.0j),
+        (build([(1.0, [(ZETA, 1, 1), (l_chi4, 0, 1)])], [ZETA, l_chi4]),
+         lambda z: dz(z) * _mp_l_chi4(z), 0.5 + 30.0j),
+        (zpoly((1.0, [(1, 2), (0, 1)]), (1.0, [(2, 1)])),
+         lambda z: dz(z) ** 2 * mp.zeta(z) + dz(z, 2), -30.0 + 5.0j),
+    ]
+    for F, f, s in cases:
+        v, vp = ev.eval_F_with_prime(F, s)
+        z = mp.mpc(s)
+        for got, ref in ((v, complex(f(z))), (vp, complex(mp.diff(f, z)))):
+            assert abs(got - ref) < 1e-8 * abs(ref), (s, got, ref)
+        assert abs(v - ev.eval_F(F, s)) < 1e-9 * abs(v), s
 
 
 # --- scaled path ----------------------------------------------------------
@@ -399,8 +420,8 @@ def test_b_factor_power_example():
     # at s = 9 the rank-1 zeta factor gives ((1/2) log 22.5)^l
     g = 0.5 * math.log(22.5)
     for l in (0, 1, 2):
-        got = ev.b_factor(9.0 + 0j, l, ZETA)
-        assert abs(got - g**l) < 1e-12
+        got = ev.b_factor(np.array([9.0 + 0j]), l, ZETA)
+        assert abs(got[0] - g**l) < 1e-12
 
 
 def test_reflection_identity_zeta():
@@ -444,20 +465,24 @@ def test_asymptotic_fe_region_guard():
 
 
 @pytest.mark.parametrize("sigma", [3.0, 50.0, 150.0])
-def test_asymptotic_fe_main_scaled_oracle(zeta_prime, sigma):
+def test_asymptotic_fe_main_scaled_oracle(zeta_prime, l_chi4, sigma):
     # for zeta' the main term is -b(s) zeta(1 - s), b(s) = (log(s / 2) +
-    # log((1 + s) / 2)) / 2; u exp(g) against mpmath in log magnitude and
-    # phase, where the plain value leaves the double range at sigma = 150
+    # log((1 + s) / 2)) / 2, and for zeta' L(chi_4) it is -b(s) zeta(1 - s)
+    # L(1 - s, chi_4); u exp(g) against mpmath in log magnitude and phase,
+    # where the plain value leaves the double range at sigma = 150
     from lfpoly import expr as E
 
+    zeta_chi4 = build([(1.0, [(ZETA, 1, 1), (l_chi4, 0, 1)])], [ZETA, l_chi4])
     S = sigma + 1j * np.array([20.0, 80.0])
-    u, g = ev.asymptotic_fe_main(zeta_prime, S, E.degree_profile(zeta_prime))
-    for s, ui, gi in zip(S, u, g):
-        z = mp.mpc(s)
-        ref = -(mp.log(z / 2) + mp.log((1 + z) / 2)) / 2 * mp.zeta(1 - z)
-        assert abs(math.log(abs(ui)) + gi - float(mp.log(abs(ref)))) < 1e-10
-        dphase = cmath.phase(ui) - float(mp.arg(ref))
-        assert abs((dphase + math.pi) % (2 * math.pi) - math.pi) < 1e-10
+    for F, other in ((zeta_prime, lambda w: 1), (zeta_chi4, _mp_l_chi4)):
+        u, g = ev.asymptotic_fe_main(F, S, E.degree_profile(F))
+        for s, ui, gi in zip(S, u, g):
+            z = mp.mpc(s)
+            b = (mp.log(z / 2) + mp.log((1 + z) / 2)) / 2
+            ref = -b * mp.zeta(1 - z) * other(1 - z)
+            assert abs(math.log(abs(ui)) + gi - float(mp.log(abs(ref)))) < 1e-10
+            dphase = cmath.phase(ui) - float(mp.arg(ref))
+            assert abs((dphase + math.pi) % (2 * math.pi) - math.pi) < 1e-10
 
 
 # log Gamma and digamma against mpmath: within the stated Stirling bound
