@@ -3,9 +3,9 @@
 Every value is carried as a pair (u, g) meaning u * exp(g), with u of
 moderate size and g real, and is folded to a plain complex number only by
 the public functions that return one.  Right of sigma = -2 the value comes
-from Euler-Maclaurin summation for the Hurwitz zeta function, vectorized
-over point arrays (Dirichlet L-functions reduce to Hurwitz values at
-rational shifts), and g = 0.  Left of it the dual is summed at 1 - s and
+from one Euler-Maclaurin sum over point arrays, and g = 0: of (k + a)^-s
+for zeta(s, a), of the Dirichlet polynomial sum_n chi(n) n^-s, whose terms
+stay at most 1, for L(s, chi).  Left of it the dual is summed at 1 - s and
 carried over by the reflection factor, whose logarithm goes into g: the
 factor alone leaves the double range far left (|zeta(-740)| ~ 10^1500).
 Every evaluation is a table of Taylor coefficients in e of L(s + e): the
@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from .constants import BERNOULLI, MIN_TARGET_ERR
+from .characters import Character
 from .descriptors import (
     LFunctionDescriptor,
     contragredient,
@@ -89,29 +90,30 @@ def _smul(A, B):
 
 
 def _shift_mul(p, v):
-    """p(e) * (v + e) for series p with orders on axis -2."""
+    """p(e) * (v + e) for series p with orders on axis 0."""
     out = p * v
-    out[..., 1:, :] += p[..., :-1, :]
+    out[1:] += p[:-1]
     return out
 
 
-def _tail_series(S, L, n, subtract_pole):
-    """Series in e of (N + a)^(1 - s - e) / (s - 1 + e) with L = log(N + a),
-    less 1/(s - 1 + e) under subtract_pole, with the absolute mass of each
-    coefficient."""
+def _tail_series(S, Ls, ep, subtract_pole):
+    """Series in e of M^(1 - s - e) / (s - 1 + e), less 1/(s - 1 + e) under
+    subtract_pole, and its absolute masses, shape (len(ep), len(Ls), len(S)):
+    one row per L = log M in Ls, with ep[j] the column of (-L)^j / j!."""
+    n = len(ep)
     y = 1 - S
+    L = np.array(Ls)[:, None]
     X1 = np.exp(y * L)
     aX1 = np.abs(X1)
-    T = np.empty((n, S.size), dtype=complex)
-    A = np.empty((n, S.size))
+    T = np.empty((n,) + X1.shape, dtype=complex)
+    A = np.empty(T.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         # dividing by (s - 1 + e): T_j = (X1 (-L)^j / j! - T_(j-1)) / (s - 1)
         T[0] = (X1 - subtract_pole) / -y
         A[0] = (aX1 + subtract_pole) / np.abs(y)
         for j in range(1, n):
-            ej = (-L) ** j / math.factorial(j)
-            T[j] = (X1 * ej - T[j - 1]) / -y
-            A[j] = (aX1 * abs(ej) + A[j - 1]) / np.abs(y)
+            T[j] = (X1 * ep[j] - T[j - 1]) / -y
+            A[j] = (aX1 * np.abs(ep[j]) + A[j - 1]) / np.abs(y)
     near = np.nonzero(np.abs(y) < 0.5)[0] if subtract_pole else []
     if len(near):
         # each step divides by s - 1, so near s = 1 the tail is -h(1 - s - e)
@@ -119,43 +121,61 @@ def _tail_series(S, L, n, subtract_pole):
         # L^(j+1) / j! sum_m (yL)^m / (m! (m + j + 1)); |yL| < L / 2 < 5
         # up to MAX_HEIGHT, so 40 terms leave less than 1e-20
         z = y[near] * L
-        U = np.empty((40, near.size), dtype=complex)
+        U = np.empty((40,) + z.shape, dtype=complex)
         U[0] = 1
         for m in range(1, 40):
             U[m] = U[m - 1] * z / m
-        m = np.arange(40)[:, None]
+        m = np.arange(40)[:, None, None]
         for j in range(n):
-            c = (-1) ** (j + 1) * L ** (j + 1) / math.factorial(j)
-            T[j, near] = c * (U / (m + j + 1)).sum(axis=0)
-            A[j, near] = abs(c) * (np.abs(U) / (m + j + 1)).sum(axis=0)
+            c = np.array([(-1) ** (j + 1) * l ** (j + 1) / math.factorial(j)
+                          for l in Ls])[:, None]
+            T[j][:, near] = c * (U / (m + j + 1)).sum(axis=0)
+            A[j][:, near] = np.abs(c) * (np.abs(U) / (m + j + 1)).sum(axis=0)
     return T, A
+
+
+def _classes(a):
+    """(q, classes c, column of weights w_c) of sum_c w_c sum_k (q k + c)^-s:
+    zeta(s, a) for a shift a in (0, 1] (q = 1, one class a), L(s, chi) for a
+    character chi mod q (c prime to q, w_c = chi(c), +-1 if chi is real)."""
+    if isinstance(a, Character):
+        q = a.modulus
+        cls = tuple(c for c in range(1, q + 1) if a.value_index[c % q] is not None)
+        w = np.array([a(c) for c in cls])[:, None]
+        return q, cls, w.real.round() if a.order <= 2 else w
+    if not 0 < a <= 1:
+        raise ValueError("shift a must lie in (0, 1]")
+    return 1, (a,), np.ones((1, 1))
 
 
 def _em_size(sig, smax, tmax, a, lmax, npts):
     """(N, nb): the cheapest Euler-Maclaurin size whose truncation bound
     meets the rounding floor at the worst point of a batch.
 
-    sig is the least real part and smax the largest |s| of the batch; the
-    bound is the rmax of _hurwitz_batch taken there, which bounds it at
-    every point.  The floor is _FLOOR times a term whose rounding every
-    order j carries, k = 0, k = 1 or the half term k = N of the sum, each
-    as (k + a)^-sig |log(k + a)|^j / j! times _R^j; a truncation below it
-    is below the rounding bound of every entry.  N stays at most
-    max(20, ceil(1.2 tmax)), so the rounding mass of the main sum never
-    exceeds that of the fixed rule, and nb at most _NB_MAX.
+    sig is the least real part and smax the largest |s| of the batch; each
+    class's bound is its rmax of _hurwitz_batch taken there, which bounds it
+    at every point.  Its floor is _FLOOR times a term of the class whose
+    rounding every order j carries, n = c, q + c or the half term n = q N +
+    c, each as n^-sig |log n|^j / j! times _R^j; both are compared over
+    q^-sig, where the bound keeps q^_R.  N stays at most max(20, ceil(1.2
+    tmax)), as the old fixed rule, and nb at most _NB_MAX.
     """
+    q, cls, _ = _classes(a)
     ncap = max(20, math.ceil(1.2 * tmax))
-    # log floors of the k = 0 and k = 1 terms, and the part of the k = N
-    # floor that does not depend on N (log(N + a) >= log(_N_MIN + a))
-    fixed = []
-    for x, lx in ((a, abs(math.log(a))), (1 + a, math.log(1 + a))):
-        h = _least_order_weight(lx, lmax)
-        if h > 0:
-            fixed.append(-sig * math.log(x) + math.log(h))
-    half = math.log(0.5 * _least_order_weight(math.log(_N_MIN + a), lmax))
-    log_cap = math.log(ncap + a)
-    per_term = npts * _COST_TERM
-    per_step = _COST_STEP + npts * (lmax + 1) * _COST_STEP_POINT
+    lift = _R * math.log(q)
+    # per class: c / q, log cap on N + c / q, k = N and k = 0, 1 log floors
+    classes = []
+    for c in cls:
+        x0 = c / q
+        fixed = []
+        for k in (0, 1):
+            h = _least_order_weight(abs(math.log(q * k + c)), lmax)
+            if h > 0:
+                fixed.append(-sig * math.log(k + x0) + math.log(h))
+        half = math.log(0.5 * _least_order_weight(math.log(q * _N_MIN + c), lmax))
+        classes.append((x0, math.log(ncap + x0), half, fixed))
+    per_term = npts * len(cls) * _COST_TERM
+    per_step = _COST_STEP + npts * len(cls) * (lmax + 1) * _COST_STEP_POINT
     best, size = math.inf, (ncap, _NB_MAX)
     log_poch = math.log(smax + _R)
     for nb in range(1, _NB_MAX + 1):
@@ -166,18 +186,21 @@ def _em_size(sig, smax, tmax, a, lmax, npts):
         lo = sig - _R + 2 * nb + 1
         if lo <= 0:
             continue
-        # log rmax - log _FLOOR = K - lo log(N + a); the least log(N + a)
-        # that meets any one of the floors
-        K = _LOG_CNEXT[nb] + log_poch + math.log((smax + _R + 2 * nb + 1) / lo)
-        need = (K - half) / (2 * nb + 1 - _R)
-        for f in fixed:
-            need = min(need, (K - f) / lo)
-        if need > log_cap:
-            continue
-        N = max(_N_MIN, math.ceil(math.exp(need) - a))
-        cost = N * per_term + nb * per_step
-        if cost < best:
-            best, size = cost, (N, nb)
+        # log rmax - log _FLOOR = K - lo log(N + c / q): per class the least
+        # log(N + c / q) that meets one of its floors
+        K = _LOG_CNEXT[nb] + log_poch + math.log((smax + _R + 2 * nb + 1) / lo) + lift
+        N = _N_MIN
+        for x0, log_cap, half, fixed in classes:
+            need = (K - half) / (2 * nb + 1 - _R)
+            for f in fixed:
+                need = min(need, (K - f) / lo)
+            if need > log_cap:
+                break
+            N = max(N, math.ceil(math.exp(need) - x0))
+        else:
+            cost = N * per_term + nb * per_step
+            if cost < best:
+                best, size = cost, (N, nb)
     return size
 
 
@@ -187,61 +210,58 @@ def _least_order_weight(x, lmax):
 
 
 def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
-    """Euler-Maclaurin zeta(s + e, a) as a power series in e over an array
-    of points.
+    """Euler-Maclaurin zeta(s + e, a), or L(s + e, chi) when a is a
+    Dirichlet character, as a power series in e over an array of points.
 
-    Returns (C, trunc, rnd), each of shape (lmax + 1, len(S)), with
-    zeta(s + e, a) = sum_j C[j] e^j; trunc[j] and rnd[j] bound the
-    truncation and the rounding error of C[j].  One pass over the main sum
-    gives every order, since (k + a)^-(s+e) = (k + a)^-s sum_j
-    (-log(k + a))^j e^j / j!; the tail and Bernoulli terms are truncated
-    series products.  The dropped remainder is entire in s, so Cauchy's
-    estimate bounds its j-th coefficient by its largest value on the circle
-    |e| = _R over _R^j.  The number of terms N and of Bernoulli terms nb
-    come from the error target (_em_size): the cheapest pair whose a-priori
-    truncation bound lies below the rounding floor.  A main sum of at
-    least _BLOCK entries takes exp(-sigma log k) once per distinct sigma
-    and cos, sin(t log k) once per distinct t of the batch and gathers
-    them per point, so every entry is the double a point-by-point sum
-    would give; below that the sorting costs more than it saves.  The sum
-    runs over column blocks of B terms and, within each, row chunks of at
-    most _BLOCK // B points, so no per-point temporary holds more than
-    _BLOCK entries however large the batch; the tables over distinct
-    values are built once per column block for all chunks.  With
-    subtract_pole the series is that of zeta(s, a) - 1/(s - 1), entire at
-    s = 1; the character sums that are entire at 1 are built from this
-    variant.
+    Returns (C, trunc, rnd), each of shape (lmax + 1, len(S)), the series
+    being sum_j C[j] e^j; trunc[j] and rnd[j] bound the truncation and the
+    rounding error of C[j].  The series is sum_c w_c sum_k (q k + c)^-(s+e)
+    (_classes).  Its main part is one Dirichlet polynomial over n = q k + c,
+    k < N, whose terms n^-s are at most 1 right of the strip; one pass
+    gives every order, since n^-(s+e) = n^-s sum_j (-log n)^j e^j / j!.
+    Each class adds its Euler-Maclaurin rest at x = N + c / q, written in
+    M = q N + c so that no (c / q)^-s is formed: the tail M^(1-s-e) / (q (s
+    - 1 + e)) and the Bernoulli terms M^-(s+e) x^(1-2j), as rows of the
+    same truncated series products.  A class's dropped remainder is q^-(s+e)
+    times that of zeta(s + e, c / q), entire in s, so Cauchy's estimate
+    bounds its j-th coefficient by its largest value on |e| = _R, where
+    |q^-(s+e)| <= q^(_R - sigma), over _R^j.  N and the number nb of
+    Bernoulli terms come from the error target (_em_size).  A main sum of
+    at least _BLOCK entries gathers exp(-sigma log n), cos and sin(t log n)
+    per point from tables over the distinct sigma and t, so every entry is
+    the double a point-by-point sum would give.  With subtract_pole each
+    tail loses 1 / (q (s - 1 + e)), so the series is zeta(s, a) - 1/(s - 1),
+    or L(s, chi) itself for a non-principal chi, entire at s = 1.
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
-    if not 0 < a <= 1:
-        raise ValueError("shift a must lie in (0, 1]")
+    q, cls, w = _classes(a)
     if not subtract_pole and np.any(np.abs(S - 1) < _POLE_GUARD):
-        raise PoleAt1("zeta(s, a) requested too close to s = 1")
+        raise PoleAt1("series requested too close to its pole at s = 1")
     n = lmax + 1
     sig, t = S.real, S.imag
     N, nb = _em_size(float(sig.min()), float(np.abs(S).max()),
                      float(np.abs(t).max()), a, lmax, S.size)
-    logs = np.log(np.arange(N) + a)
-    P = np.stack([(-logs) ** j / math.factorial(j) for j in range(n)], axis=1)
+    # the terms n = q k + c in increasing order, each row of P weighted by w_c
+    logs = np.log((q * np.arange(N)[:, None] + np.array(cls)).ravel())
+    P = np.tile(w, (N, 1)) * np.stack([(-logs) ** j / math.factorial(j) for j in range(n)], axis=1)
     aP = np.abs(P)
-    re = np.zeros((S.size, n))
-    im = np.zeros((S.size, n))
+    re, im = np.zeros((2, S.size, n), dtype=P.dtype)
     mass = np.zeros((S.size, n))
     # B terms per column block, R points per row chunk: B R <= _BLOCK; each
     # chunk is (its rows, their rows of the sigma table, of the t table)
     B = max(16, _BLOCK // S.size)
     R = _BLOCK // B
     chunks = [slice(r0, r0 + R) for r0 in range(0, S.size, R)]
-    if S.size * N >= _BLOCK:
+    if S.size * logs.size >= _BLOCK:
         usig, isig = np.unique(sig, return_inverse=True)
         ut, it = np.unique(t, return_inverse=True)
         chunks = [(rows, isig[rows], it[rows]) for rows in chunks]
     else:
         usig, ut = sig, t
         chunks = [(rows, rows, rows) for rows in chunks]
-    # far right (k + a)^-sigma may overflow; the gate refuses what it gives
+    # left of the strip n^-sigma may overflow; the gate refuses what it gives
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, N, B):
+        for i0 in range(0, logs.size, B):
             blk = logs[i0 : i0 + B]
             emod = np.exp(-np.multiply.outer(usig, blk))
             ph = np.multiply.outer(ut, blk)
@@ -254,16 +274,19 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
                 mass[rows] += mod @ aPb
         C = (re + 1j * im).T
     mass = mass.T
-    L = math.log(N + a)
-    tail, tail_mass = _tail_series(S, L, n, subtract_pole)
-    # 1/2 (N + a)^-(s+e) plus the Bernoulli terms B_2j / (2j)! (s + e)_(2j-1)
-    # (N + a)^(-s-e-2j+1), summed as (N + a)^-(s+e) Q(e) by Horner's rule;
-    # AQ carries the absolute masses.  poch_next collects
-    # |s + k| + _R for k = 0 .. 2 nb, the Pochhammer factor of the
-    # truncation bound
+    # per class, as columns against the points: x = N + c / q, L = log M
+    x = [N + c / q for c in cls]
+    Ls = [math.log(q * N + c) for c in cls]
+    ep = [np.array([(-l) ** j / math.factorial(j) for l in Ls])[:, None]
+          for j in range(n)]
+    tail, tail_mass = _tail_series(S, Ls, ep, subtract_pole)
+    # 1/2 M^-(s+e) plus the Bernoulli terms B_2j / (2j)! (s + e)_(2j-1)
+    # M^-(s+e) x^(1-2j), summed as M^-(s+e) Q(e) by Horner's rule; AQ
+    # carries the absolute masses.  poch_next collects |s + k| + _R for k =
+    # 0 .. 2 nb, the Pochhammer factor of the truncation bound
     poch_next = (np.abs(S + 2 * nb) + _R) * (np.abs(S + 2 * nb - 1) + _R)
-    Q = np.zeros((n, S.size), dtype=complex)
-    AQ = np.zeros((n, S.size))
+    Q = np.zeros((n, len(cls), S.size), dtype=complex)
+    AQ = np.zeros(Q.shape)
 
     def times(k):
         nonlocal Q, AQ
@@ -272,32 +295,35 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
         poch_next[:] *= av + _R
         Q, AQ = _shift_mul(Q, v), _shift_mul(AQ, av)
 
-    cb = [_BFLOAT[2 * j] / math.factorial(2 * j) * (N + a) ** (1 - 2 * j)
-          for j in range(1, nb + 1)]
+    cb = [np.array([_BFLOAT[2 * j] / math.factorial(2 * j) * xc ** (1 - 2 * j)
+                    for xc in x])[:, None] for j in range(1, nb + 1)]
     for j in range(nb, 0, -1):
         if j < nb:
             times(2 * j)
             times(2 * j - 1)
         Q[0] += cb[j - 1]
-        AQ[0] += abs(cb[j - 1])
+        AQ[0] += np.abs(cb[j - 1])
     times(0)
     Q[0] += 0.5
     AQ[0] += 0.5
-    ep = [(-L) ** j / math.factorial(j) for j in range(n)]
-    X = np.exp(-S * L)
-    C += tail + X * _smul(Q, ep)
+    X = np.exp(-S * np.array(Ls)[:, None]) * w
+    C += (tail * (w / q)).sum(axis=1) + (X * _smul(Q, ep)).sum(axis=1)
     # rounding: every term carries a few ulps, the j-th log power j more,
-    # and the exponent rounds at ~ eps |s log(N + a)|
-    per_term = _EPS * (4.0 + np.arange(n)[:, None] + np.abs(S) * L)
-    rnd = per_term * (mass + tail_mass + np.abs(X) * _smul(AQ, np.abs(ep)))
-    # truncation: the first dropped Bernoulli term, inflated by the standard
-    # remainder comparison factor, at the worst point of the circle
-    # |e| = _R (each |s + e + k| is at most |s + k| + _R)
+    # and the exponent rounds at ~ eps |s log n| <= eps |s| max L
+    per_term = _EPS * (4.0 + np.arange(n)[:, None] + np.abs(S) * max(Ls))
+    rnd = per_term * (mass + (tail_mass * np.abs(w / q)).sum(axis=1)
+                      + (np.abs(X) * _smul(AQ, np.abs(ep))).sum(axis=1))
+    # truncation: per class the first dropped Bernoulli term, inflated by
+    # the standard remainder comparison factor, at the worst point of the
+    # circle |e| = _R (each |s + e + k| is at most |s + k| + _R), times
+    # q^(_R - sigma)
     lo = sig - _R + 2 * nb + 1
     cnext = abs(_BFLOAT[2 * nb + 2]) / math.factorial(2 * nb + 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         safety = np.where(lo > 0, (np.abs(S) + _R + 2 * nb + 1) / np.maximum(lo, 1e-300), np.inf)
-        rmax = cnext * poch_next * np.exp(-lo * L) * safety
+        lx = np.array([math.log(xc) for xc in x])[:, None]
+        scale = np.abs(w) * np.exp(-lo * lx + (_R - sig) * math.log(q))
+        rmax = cnext * poch_next * scale.sum(axis=0) * safety
     trunc = rmax / _R ** np.arange(n)[:, None]
     return C, trunc, rnd
 
@@ -333,35 +359,6 @@ def zeta(s, err=1e-10):
     return _certified(v[0], b[0], err, s)
 
 
-def _dirichlet_batch(S, chi, lmax=0):
-    """Euler-Maclaurin series of L(s + e, chi) as a character sum of Hurwitz
-    series, returned like _hurwitz_batch."""
-    q = chi.modulus
-    principal = chi.conductor == 1
-    S = np.atleast_1d(np.asarray(S, dtype=complex))
-    if principal and np.any(np.abs(S - 1) < _POLE_GUARD):
-        raise PoleAt1("principal-character L-function has a pole at s = 1")
-    # the character sum is multiplied by q^-(s+e)
-    lq = math.log(q)
-    Z = np.exp(-S * lq) * np.array([(-lq) ** j / math.factorial(j) for j in range(lmax + 1)])[:, None]
-    aZ = np.abs(Z)
-    C = trunc = rnd = mass = 0
-    # an overflowed Hurwitz entry passes through as infinite or NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(1, q + 1):
-            c = chi(a)
-            if c == 0:
-                continue
-            # non-principal chi: the 1/(s - 1) poles cancel, since the
-            # character values sum to zero; use the pole-subtracted variant
-            Ca, ta, ra = _hurwitz_batch(S, a / q, lmax, subtract_pole=not principal)
-            C = C + c * Ca
-            trunc = trunc + abs(c) * ta
-            rnd = rnd + abs(c) * ra
-            mass = mass + abs(c) * np.abs(Ca)
-        return _smul(C, Z), _smul(trunc, aZ), _smul(rnd + 2 * _EPS * mass, aZ)
-
-
 def dirichlet_l(s, chi, err=1e-10):
     """L(s, chi) with certified absolute error at most err.
 
@@ -373,18 +370,15 @@ def dirichlet_l(s, chi, err=1e-10):
     if chi.is_primitive and chi.conductor > 1:
         v, b = lfunc_values(dirichlet_descriptor(chi), S)
     else:
-        C, trunc, rnd = _dirichlet_batch(S, chi)
+        C, trunc, rnd = _hurwitz_batch(S, chi, 0, not chi.is_principal)
         v, b = C[0], trunc[0] + rnd[0]
     return _certified(v[0], b[0], err, s)
 
 
 def _direct_batch(desc, S, lmax):
-    """Taylor table of L(s + e) by direct summation, as _hurwitz_batch."""
-    if desc.kind == "zeta":
-        return _hurwitz_batch(S, 1.0, lmax)
-    if desc.kind == "dirichlet":
-        return _dirichlet_batch(S, desc.character, lmax)
-    raise ValueError(f"unknown descriptor kind {desc.kind!r}")
+    """Taylor table of L(s + e) by direct summation, as _hurwitz_batch: zeta
+    is the shift 1, L(s, chi) its character, entire at s = 1."""
+    return _hurwitz_batch(S, desc.character or 1.0, lmax, not desc.pole_order)
 
 
 def _loggamma(z, n):
@@ -497,9 +491,10 @@ def _fe_series(desc, W, n):
         p = np.exp(1j * a.real - a.imag - y)
         q = np.exp(-1j * a.real + a.imag - y)
         G += y
-        cs = np.array([(p + q) / 2 if j % 2 == 0 else (p - q) / 2j for j in range(n)])
-        cs *= np.array([(-1) ** (j // 2) * (math.pi / 2) ** j / math.factorial(j) for j in range(n)])[:, None]
-        cos_parts.append(cs)
+        coef = np.array([(-1) ** (j // 2) * (math.pi / 2) ** j / math.factorial(j) for j in range(n)])[:, None]
+        cs = coef * np.array([(p + q) / 2 if j % 2 == 0 else (p - q) / 2j for j in range(n)])
+        # the exponentials' mass: at a zero of cos its value is rounding
+        cos_parts.append((cs, np.abs(coef) * (np.abs(p) + np.abs(q)) / 2))
     e = np.zeros((n, W.size), dtype=complex)
     ae = np.zeros((n, W.size))
     e[0] = np.exp(1j * lam[0].imag)
@@ -507,8 +502,8 @@ def _fe_series(desc, W, n):
     for j in range(1, n):
         e[j] = sum(k * lam[k] * e[j - k] for k in range(1, j + 1)) / j
         ae[j] = sum(k * np.abs(lam[k]) * ae[j - k] for k in range(1, j + 1)) / j
-    for cs in cos_parts:
-        e, ae = _smul(e, cs), _smul(ae, np.abs(cs))
+    for cs, acs in cos_parts:
+        e, ae = _smul(e, cs), _smul(ae, acs)
     return e, ae, G
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .constants import LOG_2PI_E, TWO_PI
 from .descriptors import contragredient
-from .errors import AssumptionViolated, NumericallyAmbiguous, ZeroExpression
-from .evaluate import _direct_batch, _gate, _hurwitz_batch, _sum_monomials, eval_F
+from .errors import AssumptionViolated, LfpolyError, NumericallyAmbiguous, ZeroExpression
+from .evaluate import _gate, _hurwitz_batch, _sum_monomials, eval_F
 
 _ZERO_COEFF_TOL = 1e-14
 _SUMCJ_REL_TOL = 1e-12
@@ -385,10 +385,7 @@ def _at_1(desc, l, n):
     k = n - len(lead)
     if k > 0:
         S = np.array([1.0 + 0j])
-        if desc.pole_order:
-            C, trunc, rnd = _hurwitz_batch(S, 1.0, l + k - 1, subtract_pole=True)
-        else:
-            C, trunc, rnd = _direct_batch(desc, S, l + k - 1)
+        C, trunc, rnd = _hurwitz_batch(S, desc.character or 1.0, l + k - 1, True)
         _gate(C, trunc, rnd, S, 1e-9)
         lead += [C[l + j, 0] * math.perm(l + j, l) for j in range(k)]
     return np.array(lead[:n])[:, None]
@@ -445,7 +442,7 @@ def _numeric_pole_probe(F):
     try:
         v1 = abs(eval_F(F, 1 + 1e-2 + 0j, 1e-9))
         v2 = abs(eval_F(F, 1 + 1e-3 + 0j, 1e-9))
-    except Exception:
+    except LfpolyError:
         return None
     if v1 == 0 or v2 == 0:
         return None

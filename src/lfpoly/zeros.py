@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -526,22 +527,26 @@ def zero_free_bounds(F, profile=None) -> StripBounds:
     E1 = None
     method = "scan"
     tgrid = np.arange(2.0, 50.0 + 1e-9, 0.1)
+    t0, tally = time.perf_counter(), Counter()
     for sigma in range(-1, int(math.floor(default_E1)) - 1, -1):
-        if _scan_line_dominates(F, profile, sigma, tgrid):
+        if _scan_line_dominates(F, profile, sigma, tgrid, tally):
             E1 = float(sigma)
             break
     if E1 is None:
         E1 = default_E1
         method = "default"
+    log.debug("strip bounds: E1 = %g (%s), E2 = %g; scan %d F points, %.3f s",
+              E1, method, E2, tally["points"], time.perf_counter() - t0)
     return StripBounds(E1=E1, E2=float(E2), E2certified=True, E1method=method)
 
 
-def _scan_line_dominates(F, profile, sigma, tgrid):
+def _scan_line_dominates(F, profile, sigma, tgrid, tally):
     """True if the main term dominates at every valid height of the line:
     F(1 - s, dual) is within half the main term of it.
 
     Heights go _SCAN_CHUNK at a time, one evaluation each, and the scan
-    stops with the chunk that holds the first height where it does not.
+    stops with the chunk that holds the first height where it does not;
+    tally counts the points evaluated.
     """
     checked = False
     for i in range(0, len(tgrid), _SCAN_CHUNK):
@@ -549,6 +554,7 @@ def _scan_line_dominates(F, profile, sigma, tgrid):
         s = s[_reflection_region(F, s)]
         if not s.size:
             continue
+        tally["points"] += s.size
         ratio = asymptotic_fe_ratio(F, s, profile, 1e-6)
         if not np.all(np.abs(ratio - 1) < 0.5):
             return False

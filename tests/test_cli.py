@@ -2,8 +2,10 @@ import csv
 import importlib.resources as res
 import itertools
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -160,13 +162,23 @@ def test_fecheck_far_right(zeta_prime_file, tmp_path):
     assert doc["decreasing"] is True
 
 
+# a non-finite table is a numeric error, exit 1 with an AccuracyUnreachable
+# document: here the kernel returns NaN for every entry
 @pytest.mark.parametrize("argv", [
-    # L(s, chi_4) is NaN left of sigma ~ -511: (1/4)^-sigma overflows
     ["fecheck", "--sigma", "800"],
     ["audit", "--epsilon", "0.15"],
 ])
 def test_non_finite_values_are_numeric_errors(dzeta_chi4_file, tmp_path,
-                                              capsys, argv):
+                                              capsys, monkeypatch, argv):
+    from lfpoly import evaluate as ev
+
+    kernel = ev._hurwitz_batch
+
+    def nan_kernel(S, *args):
+        C, trunc, rnd = kernel(S, *args)
+        return C * math.nan, trunc, rnd
+
+    monkeypatch.setattr(ev, "_hurwitz_batch", nan_kernel)
     out = str(tmp_path / "o")
     assert _run(argv[:1] + [dzeta_chi4_file, "-o", out] + argv[1:]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -174,8 +186,19 @@ def test_non_finite_values_are_numeric_errors(dzeta_chi4_file, tmp_path,
     assert doc["error"]["type"] == "AccuracyUnreachable"
 
 
-# the overflow is reported by the error document alone: in a fresh process
-# no numpy RuntimeWarning reaches stderr
+# L(s, chi_4) is one Dirichlet polynomial, finite however far right, and
+# through the reflection however far left: fecheck at sigma = 800 and the
+# audit's start scan at epsilon 0.15, which winds past sigma = -4000
+def test_far_values_are_finite(dzeta_chi4_file, tmp_path):
+    out = str(tmp_path / "f")
+    assert _run(["fecheck", dzeta_chi4_file, "-o", out, "--sigma", "800"]) == 0
+    assert all(math.isfinite(p["r"]) for p in _load(out, "fecheck")["points"])
+    out = str(tmp_path / "a")
+    assert _run(["audit", dzeta_chi4_file, "-o", out, "--epsilon", "0.15"]) == 0
+    assert _load(out, "audit")["allMatch"]
+
+
+# a fresh process far right: no numpy RuntimeWarning reaches stderr
 def test_overflow_leaves_stderr_empty(dzeta_chi4_file, tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -184,8 +207,8 @@ def test_overflow_leaves_stderr_empty(dzeta_chi4_file, tmp_path):
         [sys.executable, "-m", "lfpoly.cli", "fecheck", dzeta_chi4_file,
          "-o", str(tmp_path / "o"), "--sigma", "800"],
         env=env, capture_output=True, text=True)
-    assert out.returncode == 1
-    assert json.loads(out.stdout)["error"]["type"] == "AccuracyUnreachable"
+    assert out.returncode == 0
+    assert all(math.isfinite(p["r"]) for p in _load(tmp_path / "o", "fecheck")["points"])
     assert out.stderr == ""
 
 
@@ -358,6 +381,16 @@ def test_log_env_does_not_change_output(zeta_file, tmp_path, monkeypatch):
             with open(f"{out}/{cmd}.json", "rb") as fh:
                 outs.append(fh.read())
         assert outs[0] == outs[1], cmd
+
+
+def test_count_logs_strip_bounds_once(zeta_file, tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="lfpoly.zeros")
+    assert _run(["count", zeta_file, "-o", str(tmp_path / "o"), "--T", "30"]) == 0
+    records = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("strip bounds")]
+    assert len(records) == 1
+    assert re.fullmatch(r"strip bounds: E1 = -1 \(scan\), E2 = \S+; "
+                        r"scan [1-9]\d* F points, \d+\.\d{3} s", records[0])
 
 
 def test_audit_mismatch_exit_code(zeta_prime_file, tmp_path):

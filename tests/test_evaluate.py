@@ -102,16 +102,22 @@ def test_dirichlet_l_entire_at_1_and_deep(chi4):
 
 
 def test_non_finite_values_fail(chi4):
-    # (1/4)^-513 overflows a double, so L(513, chi_4) sums to NaN: its NaN
+    # (1/4)^-600 overflows a double, so zeta(600, 1/4) sums to NaN: its NaN
     # bound meets no target, and a table holding a NaN or an infinite
     # bound fails the gate; with warnings turned into errors the overflow
-    # still ends in AccuracyUnreachable, not in numpy's RuntimeWarning
+    # still ends in AccuracyUnreachable, not in numpy's RuntimeWarning.
+    # L(s, chi) sums n^-s, every term at most 1 there: L(513, chi_4) and
+    # L(600, chi_5) are finite, within their own bounds of mpmath
+    chi5 = chars.character_table(5)[1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (lambda: ev.hurwitz_zeta(600.0, 0.25),
-                     lambda: ev.dirichlet_l(513.0, chi4)):
-            with pytest.raises(AccuracyUnreachable):
-                call()
+        with pytest.raises(AccuracyUnreachable):
+            ev.hurwitz_zeta(600.0, 0.25)
+        for chi, s in ((chi4, 513.0), (chi5, 600.0)):
+            v, b = ev.lfunc_values(dirichlet_descriptor(chi), np.array([s]))
+            ref = mp.dirichlet(s, [chi(k) for k in range(chi.modulus)])
+            assert np.isfinite(v[0]) and abs(mp.mpc(v[0]) - ref) <= b[0], chi
+            assert ev.dirichlet_l(s, chi) == v[0]
     S = np.array([2.0 + 0j])
     for C, rnd in ((np.nan, 0.0), (1.0, np.inf), (1.0, np.nan)):
         with pytest.raises(AccuracyUnreachable):
@@ -233,6 +239,7 @@ _ORACLE_CHARS = {
     "chi3": chars.character_table(3)[1],
     "chi4": chars.character_table(4)[1],
 }
+_CHI5 = chars.character_table(5)[1]
 
 
 # |t| >= 1 keeps the points away from s = 1 and from the real zeros far
@@ -276,6 +283,36 @@ def test_scaled_deep_oracle():
             dph = (np.angle(D[l, i]) - float(mp.arg(ref))) % (2 * math.pi)
             assert min(dph, 2 * math.pi - dph) < 1e-9
     mp.mp.dps = 40
+
+
+# far from the strip L(s, chi) leaves the double range, and only u exp(G)
+# holds it: the Dirichlet polynomial's terms are at most 1 far right, and
+# far left the reflection carries it.  Row 0 against mpmath in mpmath
+# arithmetic, within the table's own bound in the same scale, down to and
+# at the trivial zeros, where the value is all rounding of the reflection
+_FAR_CHARS = [chi for q in (3, 4, 5) for chi in chars.character_table(q).primitive()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chi=st.sampled_from(_FAR_CHARS), sigma=st.floats(-2000.0, 600.0),
+       t=st.floats(-50.0, 50.0))
+@example(chi=_ORACLE_CHARS["chi4"], sigma=513.0, t=0.0)
+@example(chi=_ORACLE_CHARS["chi4"], sigma=-600.3, t=0.1)
+@example(chi=_ORACLE_CHARS["chi4"], sigma=-2001.0, t=0.0)
+@example(chi=_CHI5, sigma=600.0, t=-50.0)
+@example(chi=chars.character_table(5)[2], sigma=-4.0, t=0.0)
+def test_dirichlet_far_range_oracle(chi, sigma, t):
+    s = complex(sigma, t)
+    # mpmath.dirichlet divides by zero at s = 0, loses every digit next to
+    # it and does not cancel the Hurwitz poles at s = 1; the oracle tests
+    # above cover both points
+    assume(abs(s) > 1e-3 and abs(s - 1) > 1e-3)
+    C, G, trunc, rnd = ev._lfunc_taylor(dirichlet_descriptor(chi), np.array([s]), 0)
+    assert np.isfinite(C[0, 0]) and np.isfinite(G[0])
+    with mp.workdps(20):
+        ref = mp.dirichlet(mp.mpc(s), [chi(k) for k in range(chi.modulus)])
+        scale = mp.exp(G[0])
+        assert abs(mp.mpc(C[0, 0]) * scale - ref) <= (trunc[0, 0] + rnd[0, 0]) * scale
 
 
 class _ExactReal:
@@ -355,7 +392,8 @@ def test_taylor_bounds_honest(name, sigma, t, flip):
     t=st.floats(0.0, 2000.0),
     dsigma=st.floats(0.0, 3.0),
     tfrac=st.floats(0.0, 1.0),
-    a=st.sampled_from([1.0, 0.25, 0.75, 1 / 3, 2 / 3]),
+    a=st.sampled_from([1.0, 0.25, 0.75, 1 / 3, 2 / 3, _ORACLE_CHARS["chi4"],
+                       _CHI5]),
     lmax=st.integers(0, 3),
 )
 def test_em_size_from_target(sigma, t, dsigma, tfrac, a, lmax):
@@ -367,17 +405,23 @@ def test_em_size_from_target(sigma, t, dsigma, tfrac, a, lmax):
     assert (trunc <= rnd).all()
 
 
-# the bounds stay honest above the heights of test_taylor_bounds_honest
+# the bounds stay honest above the heights of test_taylor_bounds_honest,
+# for zeta, Hurwitz zeta and L(s, chi) with chi mod 4 and mod 5
 @pytest.mark.parametrize("s, a", [
     (0.5 + 1999.5j, 1.0), (-1.5 + 702.0j, 0.25), (3.5 - 1250.0j, 2 / 3),
-    (40.0 + 333.0j, 0.75),
+    (40.0 + 333.0j, 0.75), (-1.5 + 702.0j, _ORACLE_CHARS["chi4"]),
+    (3.5 - 620.0j, _CHI5),
 ])
 def test_em_bounds_high(s, a):
     C, trunc, rnd = ev._hurwitz_batch(np.array([s]), a, 3)
     with mp.workdps(30):
-        for l in range(4):
-            ref = mp.zeta(mp.mpc(s), mp.mpf(a), derivative=l) / math.factorial(l)
-            assert abs(C[l, 0] - complex(ref)) <= trunc[l, 0] + rnd[l, 0], l
+        if isinstance(a, float):
+            refs = [mp.zeta(mp.mpc(s), mp.mpf(a), derivative=l) for l in range(4)]
+        else:
+            refs = _mp_derivatives(a, s, 3)
+        for l, ref in enumerate(refs):
+            want = complex(mp.mpc(ref) / math.factorial(l))
+            assert abs(C[l, 0] - want) <= trunc[l, 0] + rnd[l, 0], l
 
 
 # real winding batches: the distinct first samples of the edges of adjacent

@@ -244,6 +244,17 @@ def test_pole_order_mixed_factor(l_chi3):
     assert E.pole_order(F) == 1
 
 
+def test_pole_probe_passes_programming_errors(monkeypatch):
+    # the numeric cross-check gives way only to the package's own errors;
+    # a fault in the evaluator is raised, not taken as "no probe"
+    def broken(*args):
+        raise TypeError("broken evaluator")
+
+    monkeypatch.setattr(E, "eval_F", broken)
+    with pytest.raises(TypeError, match="broken evaluator"):
+        E.pole_order(zpoly((1.0, [(0, 1)])))
+
+
 def test_pole_order_gates_table_at_1():
     # zeta^P needs zeta's table at s = 1 through order P - 2; an order the
     # kernel cannot certify raises instead of being used
