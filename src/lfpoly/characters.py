@@ -1,9 +1,13 @@
-"""Dirichlet character groups: construction, conductors, parity, Gauss sums.
+"""Dirichlet characters: construction, conductors, parity, Gauss sums.
 
-Characters are built from the CRT decomposition of (Z/qZ)^* into cyclic
-pieces (odd prime powers get a primitive root, 2^k >= 8 splits as
-{-1} x <5>).  Values are stored as exact root-of-unity indices so that
-orthogonality and multiplicativity can be checked without rounding.
+(Z/qZ)^* is the product of cyclic groups, one per generator: per prime
+power p^k || q, in increasing p, the smallest primitive root for odd p, 3
+for 4, and -1 and 5 for 2^k >= 8, each CRT-lifted to 1 mod q / p^k.
+`character(q, i)` builds one character, in about linear time in q, from
+its index i read in mixed radix over the generators' orders (last
+generator fastest; 0 is principal), so no caller needs the whole table.
+Values are stored as exact root-of-unity indices so that orthogonality
+and multiplicativity can be checked without rounding.
 """
 
 from __future__ import annotations
@@ -44,64 +48,28 @@ def _primitive_root(pk, p):
     raise RuntimeError(f"no primitive root mod {pk}")
 
 
-def _unit_group(q):
-    """Generators and cyclic orders of (Z/qZ)^*, plus discrete-log tables."""
+@lru_cache(maxsize=None)
+def _generators(q):
+    """CRT-lifted generators of (Z/qZ)^* and their orders (module docstring)."""
+    if not (1 <= q <= 10**4):
+        raise ValueError("modulus out of supported range [1, 10^4]")
     gens, orders = [], []
     for p, k in _factorize(q):
         pk = p**k
-        if p == 2:
-            if k == 1:
-                continue
-            if k == 2:
-                gens.append(3)
-                orders.append(2)
-            else:
-                gens.append(pk - 1)  # -1
-                orders.append(2)
-                gens.append(5)
-                orders.append(pk // 4)
+        if p != 2:
+            local = [(_primitive_root(pk, p), pk - pk // p)]
+        elif k == 1:
+            local = []
+        elif k == 2:
+            local = [(3, 2)]
         else:
-            gens.append(_primitive_root(pk, p))
-            orders.append(pk - pk // p)
-    # lift each generator to a generator of the full group via CRT:
-    # replace g (mod p^k) by the residue that is g mod p^k and 1 mod q/p^k.
-    lifted = []
-    gi = 0
-    for p, k in _factorize(q):
-        pk = p**k
+            local = [(pk - 1, 2), (5, pk // 4)]
         rest = q // pk
-        ngen = 0 if (p == 2 and k == 1) else (2 if (p == 2 and k >= 3) else 1)
-        for _ in range(ngen):
-            g = gens[gi]
-            gi += 1
-            if rest == 1:
-                lifted.append(g % q)
-            else:
-                inv = pow(pk, -1, rest)
-                # x = g mod pk, x = 1 mod rest
-                x = (g + pk * ((1 - g) * inv % rest)) % q
-                lifted.append(x)
-    return lifted, orders
-
-
-def _dlog_table(q, gens, orders):
-    """Map each unit mod q to its exponent tuple over the generators."""
-    table = {1: tuple([0] * len(gens))}
-    frontier = [(1, tuple([0] * len(gens)))]
-    # BFS over the group; sizes are small (q <= 1e4)
-    while frontier:
-        new = []
-        for n, e in frontier:
-            for i, g in enumerate(gens):
-                m = (n * g) % q
-                if m in table:
-                    continue
-                e2 = list(e)
-                e2[i] = (e2[i] + 1) % orders[i]
-                table[m] = tuple(e2)
-                new.append((m, table[m]))
-        frontier = new
-    return table
+        inv = pow(pk, -1, rest)
+        for g, d in local:
+            gens.append((g + pk * ((1 - g) * inv % rest)) % q)
+            orders.append(d)
+    return tuple(gens), tuple(orders)
 
 
 @dataclass(frozen=True)
@@ -109,7 +77,7 @@ class Character:
     """One Dirichlet character mod q, values as exact root-of-unity indices."""
 
     modulus: int
-    index: int  # position in the canonical table ordering
+    index: int  # position in the canonical ordering (see `character`)
     exponents: tuple  # character exponents against the group generators
     group_exponent: int  # common root-of-unity order O for value indices
     value_index: tuple  # per residue 0..q-1: index k (value e^{2pi i k/O}) or None
@@ -129,116 +97,69 @@ class Character:
         return cmath.exp(2j * math.pi * k / self.group_exponent)
 
     def conjugate(self):
-        table = character_table(self.modulus)
-        q = self.modulus
-        target = tuple(
-            None if k is None else (-k) % self.group_exponent for k in self.value_index
-        )
-        for chi in table.characters:
-            if chi.value_index == target:
-                return chi
-        raise RuntimeError("conjugate character not found")  # pragma: no cover
+        _, orders = _generators(self.modulus)
+        index = 0
+        for a, d in zip(self.exponents, orders):
+            index = index * d + (-a) % d
+        return character(self.modulus, index)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    modulus: int
-    characters: tuple
-
-    def __iter__(self):
-        return iter(self.characters)
-
-    def __getitem__(self, i):
-        return self.characters[i]
-
-    def __len__(self):
-        return len(self.characters)
+class CharacterTable(tuple):
+    """The characters mod q, in index order."""
 
     def primitive(self):
-        return [chi for chi in self.characters if chi.is_primitive]
-
-
-def _conductor(q, value_index):
-    """Smallest f | q with chi trivial on units congruent to 1 mod f."""
-    divisors = sorted(d for d in range(1, q + 1) if q % d == 0)
-    for f in divisors:
-        ok = True
-        for n in range(1, q + 1):
-            if math.gcd(n, q) != 1 or (n - 1) % f != 0:
-                continue
-            if value_index[n % q] != 0:
-                ok = False
-                break
-        if ok:
-            return f
-    return q  # pragma: no cover
+        return [chi for chi in self if chi.is_primitive]
 
 
 @lru_cache(maxsize=None)
-def character_table(q: int) -> CharacterTable:
-    """The full dual group of (Z/qZ)^*, canonically ordered.
+def character(q: int, index: int) -> Character:
+    """The character mod q with the given `characterIndex`, built alone.
 
-    Characters are ordered by their exponent tuples (principal first), so
-    `characterIndex` in expression files is stable across runs.
+    The index is read in mixed radix over the generators' orders, last
+    generator fastest, as the exponent tuple (a_1, ..., a_r); index 0 is
+    the principal character.  chi(prod g_j^{e_j}) = e(sum a_j e_j / d_j).
     """
-    if not (1 <= q <= 10**4):
-        raise ValueError("modulus out of supported range [1, 10^4]")
-    if q == 1:
-        chi = Character(
-            modulus=1,
-            index=0,
-            exponents=(),
-            group_exponent=1,
-            value_index=(0,),
-            order=1,
-            conductor=1,
-            is_primitive=True,
-            parity=0,
-        )
-        return CharacterTable(1, (chi,))
+    q, index = int(q), int(index)  # a bool or numpy index must not enter the cache
+    gens, orders = _generators(q)
+    phi = math.prod(orders)
+    if not 0 <= index < phi:
+        raise IndexError(f"{index} out of range for modulus {q} ({phi} characters)")
+    exps, i = [], index
+    for d in reversed(orders):
+        i, a = divmod(i, d)
+        exps.insert(0, a)
+    G = math.lcm(*orders)
+    units = [(1 % q, 0)]  # (residue, value index) over the exponent tuples
+    for g, d, a in zip(gens, orders, exps):
+        units = [
+            (n * pow(g, e, q) % q, (k + e * a * (G // d)) % G)
+            for n, k in units
+            for e in range(d)
+        ]
+    vi = [None] * q
+    for n, k in units:
+        vi[n] = k
+    # smallest f | q with chi trivial on the units congruent to 1 mod f
+    cond = next(
+        f for f in range(1, q + 1)
+        if q % f == 0 and all(vi[n] in (None, 0) for n in range(1, q, f))
+    )
+    return Character(
+        modulus=q,
+        index=index,
+        exponents=tuple(exps),
+        group_exponent=G,
+        value_index=tuple(vi),
+        order=G // math.gcd(G, *(k for k in vi if k is not None)),
+        conductor=cond,
+        is_primitive=(cond == q),
+        parity=0 if vi[q - 1] == 0 else 1,
+    )
 
-    gens, orders = _unit_group(q)
-    dlog = _dlog_table(q, gens, orders)
-    group_exp = 1
-    for d in orders:
-        group_exp = group_exp * d // math.gcd(group_exp, d)
 
-    # enumerate character exponent tuples in mixed radix, principal first
-    tuples = [()]
-    for d in orders:
-        tuples = [t + (a,) for t in tuples for a in range(d)]
-    tuples.sort()
-
-    chars = []
-    for idx, a in enumerate(tuples):
-        vi = [None] * q
-        for n, e in dlog.items():
-            k = 0
-            for ai, ei, di in zip(a, e, orders):
-                k += ai * ei * (group_exp // di)
-            vi[n] = k % group_exp
-        vi = tuple(vi)
-        nz = [k for k in vi if k not in (None, 0)]
-        g = 0
-        for k in nz:
-            g = math.gcd(g, k)
-        order = group_exp // math.gcd(g, group_exp) if g else 1
-        cond = _conductor(q, vi)
-        parity = 0 if vi[(q - 1) % q] == 0 else 1
-        chars.append(
-            Character(
-                modulus=q,
-                index=idx,
-                exponents=a,
-                group_exponent=group_exp,
-                value_index=vi,
-                order=order,
-                conductor=cond,
-                is_primitive=(cond == q),
-                parity=parity,
-            )
-        )
-    return CharacterTable(q, tuple(chars))
+def character_table(q: int) -> CharacterTable:
+    """All phi(q) characters mod q, `character(q, i)` for i in index order."""
+    return CharacterTable(character(q, i) for i in range(math.prod(_generators(q)[1])))
 
 
 def gauss_sum(chi: Character) -> complex:

@@ -9,6 +9,7 @@ and the predicted zero-count asymptotics.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import characters as chars
 from .constants import LOG_2PI_E, TWO_PI
 from .descriptors import contragredient
 from .errors import AssumptionViolated, LfpolyError, NumericallyAmbiguous, ZeroExpression
@@ -184,60 +186,7 @@ def dirichlet_coefficients(F: PolyExpression, N: int) -> CoefficientSeries:
     return CoefficientSeries(N=N, eta=eta, abs_mass=mass)
 
 
-# --- exact cancellation test over log-of-prime monomials ------------------
-
-def _prime_factor_vec(n):
-    vec = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            vec[d] = vec.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        vec[n] = vec.get(n, 0) + 1
-    return vec
-
-
-def _poly_mul(p1, p2):
-    out = {}
-    for k1, c1 in p1.items():
-        for k2, c2 in p2.items():
-            mono = {}
-            for p, e in k1:
-                mono[p] = mono.get(p, 0) + e
-            for p, e in k2:
-                mono[p] = mono.get(p, 0) + e
-            key = tuple(sorted(mono.items()))
-            a, b = out.get(key, (Fraction(0), Fraction(0)))
-            out[key] = (a + c1[0] * c2[0] - c1[1] * c2[1], b + c1[0] * c2[1] + c1[1] * c2[0])
-    return {k: v for k, v in out.items() if v != (0, 0)}
-
-
-def _poly_add(p1, p2):
-    out = dict(p1)
-    for k, (re, im) in p2.items():
-        a, b = out.get(k, (Fraction(0), Fraction(0)))
-        a, b = a + re, b + im
-        if a == 0 and b == 0:
-            out.pop(k, None)
-        else:
-            out[k] = (a, b)
-    return out
-
-
-def _neg_log_power(n, l):
-    """(-log n)^l expanded as a polynomial in {log p}, exact."""
-    if l == 0:
-        return {(): (Fraction(1), Fraction(0))}
-    lin = {((p, 1),): (Fraction(-e), Fraction(0)) for p, e in _prime_factor_vec(n).items()}
-    if not lin:
-        return {}  # n == 1, log 1 = 0
-    out = {(): (Fraction(1), Fraction(0))}
-    for _ in range(l):
-        out = _poly_mul(out, lin)
-    return out
-
+# --- exact cancellation test on an integer grid ---------------------------
 
 def _gaussian_rational(c):
     re = Fraction(c.real).limit_denominator(10**6)
@@ -257,32 +206,36 @@ def _exact_eta_supported(F):
     return cs
 
 
-def _exact_eta(F, coeff_fracs, n):
-    """eta_n as an exact polynomial in log-prime symbols (zeta-only F)."""
-    total = {}
-    for m, cf in zip(F.monomials, coeff_fracs):
-        series = []
-        for fid, l, d in m.factors:
-            series.extend([l] * d)
-        # convolve over ordered factorizations of n into len(series) parts
-        acc = {1: {(): (Fraction(1), Fraction(0))}}
-        for l in series:
-            nxt = {}
-            for part, poly in acc.items():
-                q = n // part
-                for a in range(1, q + 1):
-                    if (part * a) and n % (part * a) == 0:
-                        term = _neg_log_power(a, l)
-                        if not term and l > 0:
-                            continue
-                        contrib = _poly_mul(poly, term) if l > 0 else poly
-                        key = part * a
-                        nxt[key] = _poly_add(nxt.get(key, {}), contrib)
-            acc = nxt
-        poly_n = acc.get(n, {})
-        cpoly = {(): cf}
-        total = _poly_add(total, _poly_mul(cpoly, poly_n))
-    return total
+def _eta_vanishes(F, coeff_fracs, n):
+    """Whether eta_n of a zeta-only F is exactly zero.
+
+    eta_n = sum_j c_j sum_{a_1 ... a_r = n} prod_i (-log a_i)^(l_i) is a
+    polynomial in the symbols log p, p | n, of degree at most D, the largest
+    sum of l * d over one monomial.  It is zero iff it vanishes on the grid
+    {0..D}^omega(n).  There every log a is an integer, so eta_n is an exact
+    Dirichlet convolution over the divisors of n.
+    """
+    fac = chars._factorize(n)
+    D = max(sum(l * d for _, l, d in m.factors) for m in F.monomials)
+    for x in itertools.product(range(D + 1), repeat=len(fac)):
+        logs = [(1, 0)]  # (divisor of n, its log at x)
+        for (p, k), xp in zip(fac, x):
+            logs = [(a * p**e, la + e * xp) for a, la in logs for e in range(k + 1)]
+        re = im = 0
+        for m, (cr, ci) in zip(F.monomials, coeff_fracs):
+            acc = {1: 1}  # ordered factorizations, one factor at a time
+            for l in [fl for _, fl, d in m.factors for _ in range(d)]:
+                nxt = {}
+                for a, c in acc.items():
+                    for b, lb in logs:
+                        if n % (a * b) == 0:
+                            nxt[a * b] = nxt.get(a * b, 0) + c * (-lb) ** l
+                acc = nxt
+            re += cr * acc.get(n, 0)
+            im += ci * acc.get(n, 0)
+        if re or im:
+            return False
+    return True
 
 
 @dataclass
@@ -311,7 +264,7 @@ def first_nonzero_index(F: PolyExpression):
                 return n, complex(series.eta[n])
             if series.abs_mass[n] > 0 and exact_cs is not None:
                 # numeric zero with nonzero mass: confirm exact cancellation
-                if _exact_eta(F, exact_cs, n):
+                if not _eta_vanishes(F, exact_cs, n):
                     # exact test says nonzero: numerically degenerate entry
                     return n, complex(series.eta[n])
         if N >= _MAX_NF:

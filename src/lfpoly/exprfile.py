@@ -46,13 +46,11 @@ def _build_descriptor(stub, where):
         idx = _expect(stub, "characterIndex", int, where)
         if q < 1:
             raise ExpressionFileError(f"{where}.modulus: must be >= 1, got {q}")
-        table = chars.character_table(q)
-        if not 0 <= idx < len(table):
-            raise ExpressionFileError(
-                f"{where}.characterIndex: {idx} out of range for modulus {q} "
-                f"({len(table)} characters)"
-            )
-        return dirichlet_descriptor(table[idx], id=did)
+        try:
+            chi = chars.character(q, idx)
+        except IndexError as e:
+            raise ExpressionFileError(f"{where}.characterIndex: {e}") from None
+        return dirichlet_descriptor(chi, id=did)
     raise ExpressionFileError(
         f"{where}.kind: expected 'zeta' or 'dirichlet', got {kind!r}"
     )

@@ -116,6 +116,25 @@ def test_first_nonzero_skips_exact_cancellation():
     assert abs(eta - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("terms, n_F, eta", [
+    ([(1.0, [(1, 1)])], 2, -math.log(2)),
+    ([(1.0, [(0, 1)]), (-1.0, [])], 2, 1.0),
+    # eta_n = 0 for n < 6 (mass > 0 at n = 2, 3, 4, 5); eta_6 = (log 2 -
+    # log 3)^2 vanishes on the grid's diagonal, so only an off-diagonal
+    # point shows it is nonzero
+    ([(1.0, [(2, 1), (0, 1)]), (-1.0, [(2, 1)]), (-1.0, [(1, 2)])], 6,
+     math.log(1.5) ** 2),
+    # exact zero at n = 6 over the whole 3 x 3 grid, then eta_8 = -(log 2)^2
+    ([(1.0, [(1, 2)]), (-1.0, [(1, 2), (0, 1)])], 8, -math.log(2) ** 2),
+])
+def test_first_nonzero_exact_test_decides(monkeypatch, terms, n_F, eta):
+    # the numeric test calls every eta_n zero; the exact one must decide
+    monkeypatch.setattr(E, "_ETA_ZERO_REL_TOL", 1e9)
+    n, got = E.first_nonzero_index(zpoly(*terms))
+    assert n == n_F
+    assert abs(got - eta) < 1e-14
+
+
 def test_eta_growth_is_subpolynomial():
     # |eta_n| <= C tau_3(n) (log n)^2 for zeta'^2 zeta; after dividing out
     # the divisor and log factors the fitted exponent must be tiny

@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+from lfpoly import characters as chars
 from lfpoly import exprfile
 from lfpoly import expr as E
 from lfpoly.errors import ExpressionFileError
@@ -95,6 +96,42 @@ def test_character_index_out_of_range():
     bad = SAMPLE.replace('"characterIndex": 1', '"characterIndex": 9')
     with pytest.raises(ExpressionFileError, match="out of range"):
         exprfile.loads(bad)
+
+
+def _dirichlet_stub(q, index):
+    return json.dumps({
+        "lfunctions": [{"id": "chi", "kind": "dirichlet", "modulus": q,
+                        "characterIndex": index}],
+        "monomials": [{"coeff": [1.0, 0.0],
+                       "factors": [{"lfunc": "chi", "deriv": 0, "exp": 1}]}],
+    })
+
+
+def test_stub_builds_one_character_not_the_table(monkeypatch):
+    def no_table(q):
+        raise AssertionError(f"character_table({q}) built")
+
+    monkeypatch.setattr(chars, "character_table", no_table)
+    chi = exprfile.loads(_dirichlet_stub(9973, 1)).lfuncs["chi"].character
+    assert chi.conductor == 9973 and chi.is_primitive and chi.order == 9972
+    bar = chi.conjugate()
+    assert bar.index == 9971 and bar.conjugate() == chi
+    for a in (2, 3, 1000, 9972):
+        assert abs(bar(a) - chi(a).conjugate()) < 1e-12
+
+
+def test_schema_caps_modulus():
+    import lfpoly.schemas
+    import importlib.resources as res
+
+    schema = json.loads(
+        res.files(lfpoly.schemas).joinpath("expression.schema.json").read_text()
+    )
+    jsonschema.validate(json.loads(_dirichlet_stub(10000, 1)), schema)
+    with pytest.raises(jsonschema.ValidationError, match="10000"):
+        jsonschema.validate(json.loads(_dirichlet_stub(10001, 1)), schema)
+    with pytest.raises(ValueError, match="10\\^4"):
+        exprfile.loads(_dirichlet_stub(10001, 1))
 
 
 def test_negative_deriv_rejected():
