@@ -1,13 +1,15 @@
 """Analytic data records for the L-functions an expression can reference.
 
-The kinds are the Riemann zeta function and Dirichlet L-functions of
-primitive characters (the GL(1) instantiation).
+Every L-function is L(s, chi) of a primitive Dirichlet character (the
+GL(1) instantiation); the Riemann zeta function is the one of the
+character mod 1.  The dual of L(s, chi) is L(s, conj chi), so a real
+character is its own dual.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import characters as chars
 from .errors import NotPrimitive, OracleRange
@@ -23,9 +25,12 @@ class LFunctionDescriptor:
     spectral_params: tuple  # rank complex numbers mu_r
     pole_order: int  # 1 iff Riemann zeta, else 0
     root_number: complex
-    contragredient_id: str
-    kind: str = "zeta"  # zeta | dirichlet
-    character: object = None
+    character: chars.Character
+
+    @property
+    def kind(self):
+        """'zeta' for conductor 1, else 'dirichlet'."""
+        return "zeta" if self.conductor == 1 else "dirichlet"
 
     @property
     def log_conductor(self):
@@ -35,54 +40,39 @@ class LFunctionDescriptor:
         """n-th Dirichlet coefficient lambda(n)."""
         if n < 1:
             raise OracleRange("coefficient index must be >= 1")
-        if self.kind == "zeta":
-            return 1.0 + 0j
         return self.character(n)
 
 
 def zeta_descriptor() -> LFunctionDescriptor:
-    return LFunctionDescriptor(
-        id="zeta",
-        rank=1,
-        conductor=1,
-        spectral_params=(0j,),
-        pole_order=1,
-        root_number=1.0 + 0j,
-        contragredient_id="zeta",
-        kind="zeta",
-    )
+    return dirichlet_descriptor(chars.character(1, 0), "zeta")
 
 
 def dirichlet_descriptor(chi: chars.Character, id: str = None) -> LFunctionDescriptor:
     """Descriptor for L(s, chi), chi primitive.
 
     Spectral parameter mu = parity (0 for even chi, 1 for odd), the standard
-    completion.  Root number from the normalized Gauss sum.
+    completion.  Root number from the normalized Gauss sum.  The character
+    mod 1 gives zeta, with its pole at s = 1.
     """
     if not chi.is_primitive:
         raise NotPrimitive(
             f"need a primitive character; chi index {chi.index} mod {chi.modulus} "
             f"has conductor {chi.conductor}"
         )
-    if chi.modulus == 1:
-        d = zeta_descriptor()
-        return replace(d, id=id, contragredient_id=id) if id else d
-    did = id or f"chi_{chi.modulus}_{chi.index}"
     return LFunctionDescriptor(
-        id=did,
+        id=f"chi_{chi.modulus}_{chi.index}" if id is None else id,
         rank=1,
         conductor=chi.modulus,
         spectral_params=(complex(chi.parity),),
-        pole_order=0,
+        pole_order=int(chi.modulus == 1),
         root_number=chars.root_number(chi),
-        contragredient_id=f"chi_{chi.modulus}_{chi.conjugate().index}",
-        kind="dirichlet",
         character=chi,
     )
 
 
 def contragredient(desc: LFunctionDescriptor) -> LFunctionDescriptor:
-    """The dual descriptor: conjugated data, same conductor."""
-    if desc.kind == "zeta" or desc.contragredient_id == desc.id:
+    """The dual descriptor: desc itself for a real character, else the
+    conjugate character's, same conductor."""
+    if desc.character.order <= 2:
         return desc
     return dirichlet_descriptor(desc.character.conjugate())

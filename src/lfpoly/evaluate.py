@@ -5,9 +5,10 @@ moderate size and g real, and is folded to a plain complex number only by
 the public functions that return one.  Right of sigma = -2 the value comes
 from one Euler-Maclaurin sum over point arrays, and g = 0: of (k + a)^-s
 for zeta(s, a), of the Dirichlet polynomial sum_n chi(n) n^-s, whose terms
-stay at most 1, for L(s, chi).  Left of it the dual is summed at 1 - s and
-carried over by the reflection factor, whose logarithm goes into g: the
-factor alone leaves the double range far left (|zeta(-740)| ~ 10^1500).
+stay at most 1, for L(s, chi), zeta being L(s, chi) of the character mod 1.
+Left of it the dual is summed at 1 - s and carried over by the reflection
+factor, whose logarithm goes into g: the factor alone leaves the double
+range far left (|zeta(-740)| ~ 10^1500).
 Every evaluation is a table of Taylor coefficients in e of L(s + e): the
 Euler-Maclaurin sum runs on truncated power series, so one pass gives all
 derivative orders with a bound per order, and values are its row 0.  Each
@@ -21,7 +22,9 @@ batch.
 The reflection factor's log Gamma is Stirling's series after a shift to
 Re >= 8, as a power series too (_loggamma); numpy is the only dependency.
 One truncated series product over the monomials (_sum_monomials) gives
-expression values, F' for Newton, the reflected main term and the pole order.
+expression values, F' for Newton, the pole order, and both sides of the
+reflection checks, F(1 - s, dual) and its main term, from one reflected
+table per L-function (asymptotic_fe_main).
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ import math
 import numpy as np
 
 from .constants import BERNOULLI, MIN_TARGET_ERR
-from .characters import Character
+from .characters import Character, character
 from .descriptors import (
     LFunctionDescriptor,
     contragredient,
     dirichlet_descriptor,
-    zeta_descriptor,
 )
 from .errors import (
     AccuracyUnreachable,
@@ -353,32 +355,25 @@ def hurwitz_zeta(s, a=1.0, err=1e-10):
 
 
 def zeta(s, err=1e-10):
-    """Riemann zeta with certified absolute error at most err."""
-    _check_target(err)
-    v, b = lfunc_values(zeta_descriptor(), np.array([s]))
-    return _certified(v[0], b[0], err, s)
+    """Riemann zeta, L(s, chi) of the character mod 1, with certified
+    absolute error at most err."""
+    return dirichlet_l(s, character(1, 0), err)
 
 
 def dirichlet_l(s, chi, err=1e-10):
     """L(s, chi) with certified absolute error at most err.
 
-    Only primitive non-principal characters have a reflection formula; any
-    other character is summed directly everywhere.
+    Only primitive characters have a reflection formula, the one mod 1 (zeta)
+    among them; an imprimitive character is summed directly everywhere.
     """
     _check_target(err)
     S = np.array([s], dtype=complex)
-    if chi.is_primitive and chi.conductor > 1:
+    if chi.is_primitive:
         v, b = lfunc_values(dirichlet_descriptor(chi), S)
     else:
         C, trunc, rnd = _hurwitz_batch(S, chi, 0, not chi.is_principal)
         v, b = C[0], trunc[0] + rnd[0]
     return _certified(v[0], b[0], err, s)
-
-
-def _direct_batch(desc, S, lmax):
-    """Taylor table of L(s + e) by direct summation, as _hurwitz_batch: zeta
-    is the shift 1, L(s, chi) its character, entire at s = 1."""
-    return _hurwitz_batch(S, desc.character or 1.0, lmax, not desc.pole_order)
 
 
 def _loggamma(z, n):
@@ -512,7 +507,7 @@ def _reflected(desc, W, lmax):
     L(1 - W + e, dual) = Phi(W - e) L(W - e, pi), with L(W - e, pi) summed
     directly; trunc and rnd bound the errors of C in its own scale."""
     n = lmax + 1
-    C, trunc, rnd = _direct_batch(desc, W, lmax)
+    C, trunc, rnd = _hurwitz_batch(W, desc.character, lmax, not desc.pole_order)
     C = C * ((-1.0) ** np.arange(n))[:, None]
     Phi, mass, G = _fe_series(desc, W, n)
     # _loggamma and the phase exp(i Im log Phi) carry a relative
@@ -539,7 +534,8 @@ def _lfunc_taylor(desc, S, lmax):
     rnd = np.empty((n, S.size))
     deep = S.real < _DEEP_SIGMA
     if (~deep).any():
-        C[:, ~deep], trunc[:, ~deep], rnd[:, ~deep] = _direct_batch(desc, S[~deep], lmax)
+        C[:, ~deep], trunc[:, ~deep], rnd[:, ~deep] = _hurwitz_batch(
+            S[~deep], desc.character, lmax, not desc.pole_order)
     if deep.any():
         C[:, deep], G[deep], trunc[:, deep], rnd[:, deep] = _reflected(
             contragredient(desc), 1 - S[deep], lmax
@@ -583,10 +579,15 @@ def lfunc_derivatives_scaled(desc, S, lmax, rel_tol=1e-9):
     S = np.atleast_1d(np.asarray(S, dtype=complex))
     if desc.pole_order > 0 and np.any(np.abs(S - 1) < 1e-6):
         raise PoleTooClose("derivative table requested within 1e-6 of the pole at s = 1")
-    C, G, trunc, rnd = _lfunc_taylor(desc, S, lmax)
+    return _derivative_rows(_lfunc_taylor(desc, S, lmax), S, rel_tol)
+
+
+def _derivative_rows(table, S, rel_tol):
+    """(D, G) from a Taylor table (C, G, trunc, rnd) that passes _gate:
+    row l of D is l! C[l]."""
+    C, G, trunc, rnd = table
     _gate(C, trunc, rnd, S, rel_tol)
-    fact = np.array([math.factorial(l) for l in range(lmax + 1)])[:, None]
-    return C * fact, G
+    return C * np.array([math.factorial(l) for l in range(len(C))])[:, None], G
 
 
 def lfunc_derivatives(desc, S, lmax, rel_tol=1e-9):
@@ -622,18 +623,23 @@ def _sum_monomials(monomials, factor, n, size):
     return (u * w).sum(axis=0), gmax, (mass * w).sum(axis=0)
 
 
+def _orders(F, n):
+    """The highest Taylor order of each L-function in F's series to order n - 1."""
+    needed = {}
+    for m in F.monomials:
+        for fid, l, _ in m.factors:
+            needed[fid] = max(needed.get(fid, 0), l + n - 1)
+    return needed
+
+
 def _F_scaled(F, S, rel_tol, n=1):
     """F(s + e) over S as a series to order n - 1, (u, g, mass) as
     _sum_monomials gives it: row k of u exp(g) is F^(k)(s) / k!, so n = 2
     carries F' for Newton."""
     S = np.atleast_1d(np.asarray(S, dtype=complex))
-    needed = {}
-    for m in F.monomials:
-        for fid, l, _ in m.factors:
-            needed[fid] = max(needed.get(fid, 0), l + n - 1)
     tables = {
         fid: lfunc_derivatives_scaled(F.lfuncs[fid], S, lmax, rel_tol)
-        for fid, lmax in needed.items()
+        for fid, lmax in _orders(F, n).items()
     }
     fact = np.array([math.factorial(k) for k in range(n)])[:, None]
 
@@ -714,13 +720,16 @@ def _reflection_region(F, S):
     return ok
 
 
-def asymptotic_fe_main(F, S, profile):
-    """Main term of F(1 - s, dual vector) predicted by the reflection
-    formula over an array S, as (u, g) with main = u exp(g).
+def asymptotic_fe_main(F, S, profile, rel_tol=1e-9):
+    """F(1 - s, dual vector) and its main term predicted by the reflection
+    formula over an array S, as ((u, g), (um, gm)) with F = u exp(g) and
+    main = um exp(gm).
 
-    Sums the leading monomials J only through _sum_monomials, as _F_scaled
-    does, with each L^(l)(1 - s, dual) replaced by its leading asymptotic,
-    b_factor times the (C[0], G) of _reflected.
+    One _reflected table per L-function, to the highest order F takes of
+    it and gated as every derivative table, gives both, through
+    _sum_monomials as _F_scaled does: F from the rows l! C[l] =
+    L^(l)(1 - s, dual) over every monomial, and the main term from their
+    leading asymptotics b_factor C[0] over the leading monomials J.
     RegionViolation is raised if any point lies outside the valid region.
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
@@ -731,23 +740,27 @@ def asymptotic_fe_main(F, S, profile):
             f"asymptotic: Re s > 3/2 and {_REGION_EPS} away from every "
             "shifted spectral point"
         )
-    refl = {}
+    refl = {
+        fid: _derivative_rows(_reflected(F.lfuncs[fid], S, lmax), S, rel_tol)
+        for fid, lmax in _orders(F, 1).items()
+    }
 
-    def factor(fid, l):
-        if fid not in refl:
-            C, G, _, _ = _reflected(F.lfuncs[fid], S, 0)
-            refl[fid] = C[0], G
-        C0, G = refl[fid]
-        return (b_factor(S, l, F.lfuncs[fid]) * C0)[None], G
+    def value(fid, l):
+        D, G = refl[fid]
+        return D[l : l + 1], G
 
-    u, g, _ = _sum_monomials([F.monomials[j] for j in profile.J], factor, 1, S.size)
-    return (-1) ** profile.deg_der * u[0], g
+    def main(fid, l):
+        D, G = refl[fid]
+        return b_factor(S, l, F.lfuncs[fid]) * D[:1], G
+
+    u, g, _ = _sum_monomials(F.monomials, value, 1, S.size)
+    um, gm, _ = _sum_monomials([F.monomials[j] for j in profile.J], main, 1, S.size)
+    return (u[0], g), ((-1) ** profile.deg_der * um[0], gm)
 
 
 def asymptotic_fe_ratio(F, S, profile, rel_tol):
     """F(1 - s, dual) over its reflected main term at each point of the
     array S.  Both sides stay u exp(g) until their ratio, which is O(1)
     however far right s lies, is formed."""
-    um, gm = asymptotic_fe_main(F, S, profile)
-    ud, gd = eval_F_scaled_batch(F.dual(), 1 - S, rel_tol)
+    (ud, gd), (um, gm) = asymptotic_fe_main(F, S, profile, rel_tol)
     return ud / um * np.exp(gd - gm)

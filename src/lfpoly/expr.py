@@ -19,7 +19,6 @@ import numpy as np
 
 from . import characters as chars
 from .constants import LOG_2PI_E, TWO_PI
-from .descriptors import contragredient
 from .errors import AssumptionViolated, LfpolyError, NumericallyAmbiguous, ZeroExpression
 from .evaluate import _gate, _hurwitz_batch, _sum_monomials, eval_F
 
@@ -86,31 +85,15 @@ class PolyExpression:
     def referenced_ids(self):
         return sorted({fid for m in self.monomials for fid, _, _ in m.factors})
 
-    def dual(self) -> "PolyExpression":
-        """F(s, contragredient vector): same coefficients, dual descriptors."""
-        mapping = {}
-        duals = {}
-        for fid, desc in self.lfuncs.items():
-            dd = contragredient(desc)
-            mapping[fid] = dd.id
-            duals[dd.id] = dd
-        mono = [
-            Monomial.make(m.coeff, [(mapping[f], l, d) for f, l, d in m.factors])
-            for m in self.monomials
-        ]
-        return PolyExpression(mono, duals)
-
 
 def _canonical_monomials(monomials):
     by_key = {}
-    order = {}
     for m in monomials:
         m = Monomial.make(m.coeff, m.factors)
         if m.key in by_key:
             by_key[m.key] = by_key[m.key] + m.coeff
         else:
             by_key[m.key] = m.coeff
-            order[m.key] = len(order)
     scale = max((abs(c) for c in by_key.values()), default=0.0)
     out = [
         Monomial(c, k)
@@ -338,7 +321,7 @@ def _at_1(desc, l, n):
     k = n - len(lead)
     if k > 0:
         S = np.array([1.0 + 0j])
-        C, trunc, rnd = _hurwitz_batch(S, desc.character or 1.0, l + k - 1, True)
+        C, trunc, rnd = _hurwitz_batch(S, desc.character, l + k - 1, True)
         _gate(C, trunc, rnd, S, 1e-9)
         lead += [C[l + j, 0] * math.perm(l + j, l) for j in range(k)]
     return np.array(lead[:n])[:, None]

@@ -10,11 +10,10 @@ survive exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from . import characters as chars
-from .descriptors import dirichlet_descriptor, zeta_descriptor
+from .descriptors import dirichlet_descriptor
 from .errors import ExpressionFileError
 from .expr import Monomial, PolyExpression
 
@@ -25,7 +24,8 @@ def _expect(obj, key, types, where):
     if key not in obj:
         raise ExpressionFileError(f"{where}: missing required key {key!r}")
     v = obj[key]
-    if not isinstance(v, types):
+    # a JSON boolean is a Python int, but never a number here
+    if isinstance(v, bool) or not isinstance(v, types):
         tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise ExpressionFileError(
             f"{where}.{key}: expected {tn}, got {type(v).__name__}"
@@ -37,23 +37,21 @@ def _build_descriptor(stub, where):
     did = _expect(stub, "id", str, where)
     kind = _expect(stub, "kind", str, where)
     if kind == "zeta":
-        d = zeta_descriptor()
-        if did != d.id:
-            d = dataclasses.replace(d, id=did, contragredient_id=did)
-        return d
-    if kind == "dirichlet":
+        q, idx = 1, 0
+    elif kind == "dirichlet":
         q = _expect(stub, "modulus", int, where)
         idx = _expect(stub, "characterIndex", int, where)
         if q < 1:
             raise ExpressionFileError(f"{where}.modulus: must be >= 1, got {q}")
-        try:
-            chi = chars.character(q, idx)
-        except IndexError as e:
-            raise ExpressionFileError(f"{where}.characterIndex: {e}") from None
-        return dirichlet_descriptor(chi, id=did)
-    raise ExpressionFileError(
-        f"{where}.kind: expected 'zeta' or 'dirichlet', got {kind!r}"
-    )
+    else:
+        raise ExpressionFileError(
+            f"{where}.kind: expected 'zeta' or 'dirichlet', got {kind!r}"
+        )
+    try:
+        chi = chars.character(q, idx)
+    except IndexError as e:
+        raise ExpressionFileError(f"{where}.characterIndex: {e}") from None
+    return dirichlet_descriptor(chi, id=did)
 
 
 def loads(text: str) -> PolyExpression:
@@ -84,7 +82,7 @@ def loads(text: str) -> PolyExpression:
     for i, m in enumerate(monos):
         where = f"$.monomials[{i}]"
         cf = _expect(m, "coeff", list, where)
-        if len(cf) != 2 or not all(isinstance(x, (int, float)) for x in cf):
+        if len(cf) != 2 or not all(type(x) in (int, float) for x in cf):
             raise ExpressionFileError(f"{where}.coeff: expected [re, im]")
         coeff = complex(float(cf[0]), float(cf[1]))
         factors = []
@@ -110,18 +108,9 @@ def load(path) -> PolyExpression:
 
 
 def _stub(desc):
-    if desc.kind == "zeta":
-        return {"id": desc.id, "kind": "zeta", "modulus": 1, "characterIndex": 0}
-    if desc.kind == "dirichlet":
-        return {
-            "id": desc.id,
-            "kind": "dirichlet",
-            "modulus": desc.character.modulus,
-            "characterIndex": desc.character.index,
-        }
-    raise ExpressionFileError(
-        f"descriptor {desc.id!r} of kind {desc.kind!r} has no file representation"
-    )
+    chi = desc.character
+    return {"id": desc.id, "kind": desc.kind, "modulus": chi.modulus,
+            "characterIndex": chi.index}
 
 
 def dumps(F: PolyExpression) -> str:

@@ -417,3 +417,23 @@ def test_startup_without_scipy(zeta_file):
     out = subprocess.run([sys.executable, "-c", code, zeta_file], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# the benchmark under lfbench/ wraps the lfpoly functions that its tracer
+# names, with no default for a missing one, and passes --parallelism 1 to
+# every command: a deleted name or flag breaks every benchmark run
+def test_benchmark_hooks_exist():
+    import ast
+    import importlib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "lfbench", "tracer.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    names = [(e.elts[0].value, e.elts[1].value) for e in traced.elts]
+    assert names
+    for mod, name in names:
+        assert hasattr(importlib.import_module(f"lfpoly.{mod}"), name), (mod, name)
+    args = cli._build_parser().parse_args(["count", "f.json", "--parallelism", "1"])
+    assert args.parallelism == 1

@@ -132,6 +132,17 @@ def test_principal_character_pole(chi3):
         ev.dirichlet_l(1.0, principal)
 
 
+@pytest.mark.parametrize("s", [-5 + 20j, -30 + 5j])
+def test_dirichlet_l_mod_1_reflects_as_zeta(s):
+    # the character mod 1 is zeta's, reflected left of the strip as zeta
+    # is; summed directly there, its bound missed 1e-10 |zeta(s)|
+    ref = mp.zeta(mp.mpc(s))
+    err = 1e-10 * float(abs(ref))
+    got = ev.dirichlet_l(s, chars.character(1, 0), err=err)
+    assert abs(mp.mpc(got) - ref) < err
+    assert got == ev.zeta(s, err=err)
+
+
 # --- derivative tables ----------------------------------------------------
 
 def test_zeta_derivatives_oracle():
@@ -518,7 +529,7 @@ def test_asymptotic_fe_main_scaled_oracle(zeta_prime, l_chi4, sigma):
     zeta_chi4 = build([(1.0, [(ZETA, 1, 1), (l_chi4, 0, 1)])], [ZETA, l_chi4])
     S = sigma + 1j * np.array([20.0, 80.0])
     for F, other in ((zeta_prime, lambda w: 1), (zeta_chi4, _mp_l_chi4)):
-        u, g = ev.asymptotic_fe_main(F, S, E.degree_profile(F))
+        _, (u, g) = ev.asymptotic_fe_main(F, S, E.degree_profile(F))
         for s, ui, gi in zip(S, u, g):
             z = mp.mpc(s)
             b = (mp.log(z / 2) + mp.log((1 + z) / 2)) / 2

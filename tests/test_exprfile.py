@@ -6,6 +6,7 @@ import pytest
 from lfpoly import characters as chars
 from lfpoly import exprfile
 from lfpoly import expr as E
+from lfpoly.descriptors import contragredient
 from lfpoly.errors import ExpressionFileError
 
 from conftest import build, zpoly, ZETA
@@ -146,6 +147,36 @@ def test_zero_exp_rejected():
         exprfile.loads(bad)
 
 
+@pytest.mark.parametrize("key", ["deriv", "exp", "modulus", "characterIndex", "coeff"])
+def test_json_booleans_are_not_numbers(key, tmp_path, capsys):
+    # a JSON true is a Python int (bool subclasses int), but no number to
+    # the schema; it used to load as 1, and "deriv": true was written back
+    import lfpoly.schemas
+    import importlib.resources as res
+    from lfpoly import cli
+
+    doc = json.loads(SAMPLE)
+    if key in ("modulus", "characterIndex"):
+        doc["lfunctions"][1][key] = True
+    elif key == "coeff":
+        doc["monomials"][0]["coeff"][0] = True
+    else:
+        doc["monomials"][0]["factors"][0][key] = True
+    schema = lambda name: json.loads(
+        res.files(lfpoly.schemas).joinpath(f"{name}.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema("expression"))
+    with pytest.raises(ExpressionFileError, match=f"{key}: expected"):
+        exprfile.loads(json.dumps(doc))
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(p), "-o", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().out)
+    jsonschema.validate(err, schema("error"))
+    assert err["error"]["type"] == "ExpressionFileError"
+    assert not (tmp_path / "analyze.json").exists()
+
+
 def test_missing_key():
     with pytest.raises(ExpressionFileError, match="monomials"):
         exprfile.loads('{"lfunctions": []}')
@@ -169,6 +200,6 @@ def test_modulus_one_stub_keeps_its_id():
     })
     F = exprfile.loads(text)
     d = F.lfuncs["L1"]
-    assert d.id == d.contragredient_id == "L1" and d.kind == "zeta"
+    assert d.id == "L1" and d.kind == "zeta"
     assert E.pole_order(F) == 2
-    assert F.dual().lfuncs == {"L1": d}
+    assert contragredient(d) is d

@@ -290,13 +290,13 @@ def test_e1_scan_stops_at_first_failure(k, monkeypatch):
     # zeta' and zeta''; each line is given up with the chunk of heights
     # that holds its first failing height, the first chunk on every line
     calls = []
-    real = ev.eval_F_scaled_batch
+    real = ev.asymptotic_fe_main
 
     def counted(*args, **kw):
         calls.append(len(args[1]))
         return real(*args, **kw)
 
-    monkeypatch.setattr(ev, "eval_F_scaled_batch", counted)
+    monkeypatch.setattr(ev, "asymptotic_fe_main", counted)
     sb = Z.zero_free_bounds(zpoly((1.0, [(k, 1)])))
     assert (sb.E1, sb.E1method) == (-10.0, "default")
     assert calls == [Z._SCAN_CHUNK] * 10
@@ -306,16 +306,42 @@ def test_e1_scan_zeta_checks_every_height(zeta_expr, monkeypatch):
     # for zeta the main term dominates at every height of sigma = -1, so
     # the scan evaluates the whole line, chunk by chunk, and stops there
     calls = []
-    real = ev.eval_F_scaled_batch
+    real = ev.asymptotic_fe_main
 
     def counted(*args, **kw):
         calls.append(len(args[1]))
         return real(*args, **kw)
 
-    monkeypatch.setattr(ev, "eval_F_scaled_batch", counted)
+    monkeypatch.setattr(ev, "asymptotic_fe_main", counted)
     sb = Z.zero_free_bounds(zeta_expr)
     assert (sb.E1, sb.E1method, sb.E2) == (-1.0, "scan", 3.0)
     assert sum(calls) == 481 and max(calls) == Z._SCAN_CHUNK
+
+
+def test_e1_scan_sums_each_l_function_once(zeta_expr, zeta_prime, l_chi4,
+                                            monkeypatch):
+    # one reflected table per L-function and chunk gives both sides of the
+    # dominance test, so the scan costs one kernel call per factor and
+    # chunk: zeta's 481 heights in 31 chunks, zeta' and zeta' L(chi_4)
+    # given up with the first chunk of 10 and 11 lines (twice the calls
+    # when the dual was summed again at 1 - s)
+    from conftest import ZETA, build
+
+    dzeta_chi4 = build([(1.0, [(ZETA, 1, 1), (l_chi4, 0, 1)])], [ZETA, l_chi4])
+    cases = [(F, E.degree_profile(F), n_calls, n_points) for F, n_calls, n_points
+             in ((zeta_expr, 31, 481), (zeta_prime, 10, 160), (dzeta_chi4, 22, 352))]
+    calls = []
+    real = ev._hurwitz_batch
+
+    def counted(S, *args, **kw):
+        calls.append(len(S))
+        return real(S, *args, **kw)
+
+    monkeypatch.setattr(ev, "_hurwitz_batch", counted)
+    for F, profile, n_calls, n_points in cases:
+        calls.clear()
+        Z.zero_free_bounds(F, profile)
+        assert (len(calls), sum(calls)) == (n_calls, n_points)
 
 
 def test_strip_zeta_prime_left_edge(zeta_prime):
