@@ -17,6 +17,9 @@ from .evaluate import asymptotic_fe_ratio
 
 log = logging.getLogger(__name__)
 
+_FE_TOL = 1e-8  # evaluation target of each side of the fecheck ratio
+_FE_NOISE = 2 * _FE_TOL  # r up to the two sides' errors is rounding, not decay
+
 
 @dataclass
 class CountReport:
@@ -29,12 +32,10 @@ class CountReport:
     strip: _zeros.StripBounds
 
 
-def verify_count(F, T, profile=None, strip=None, seed=0) -> CountReport:
+def verify_count(F, T, seed=0) -> CountReport:
     """Empirical zero count over (0, T) against the predicted main term."""
-    if profile is None:
-        profile = _expr.degree_profile(F)
-    res = _zeros.count_nontrivial(F, 0, T, strip=strip, profile=profile, seed=seed)
-    predicted = _expr.predicted_count(F, T, profile)
+    res = _zeros.count_nontrivial(F, 0, T, seed=seed)
+    predicted = _expr.predicted_count(F, T)
     slack = abs(res.total - predicted) / math.log(T)
     return CountReport(
         T=T,
@@ -42,23 +43,18 @@ def verify_count(F, T, profile=None, strip=None, seed=0) -> CountReport:
         empirical=res.total,
         slack=slack,
         bands=res.bands,
-        assumption_satisfied=profile.assumption_satisfied,
+        assumption_satisfied=F.profile.assumption_satisfied,
         strip=res.strip,
     )
 
 
-def zero_list(F, T1, T2, strip=None, profile=None, seed=0):
+def zero_list(F, T1, T2, seed=0):
     """Located zeros with T1 < gamma < T2, band by band, sorted by height.
 
     Bands are wound in blocks, as in count_nontrivial, and zeros are
     isolated in each band as it comes; seed jitters the band edges.
     """
-    if profile is None:
-        profile = _expr.degree_profile(F)
-    if strip is None:
-        strip = _zeros.zero_free_bounds(F, profile)
-
-    out = [z for wound in _zeros._wound_bands(F, T1, T2, strip, seed, moments=True)
+    out = [z for wound in _zeros._wound_bands(F, T1, T2, F.strip, seed, moments=True)
            for z in _zeros.locate_zeros(F, wound[1], wound) if T1 < z.gamma < T2]
     out.sort(key=lambda z: (z.gamma, z.beta))
     return out
@@ -75,7 +71,7 @@ class ClusterReport:
     fraction_outside: float
 
 
-def clustering_counts(F, delta, T, T2=None, zeros=None, **kw) -> ClusterReport:
+def clustering_counts(F, delta, T, T2=None, zeros=None, seed=0) -> ClusterReport:
     """Zeros off the critical line by more than delta, heights in (T, T2).
 
     The canonical window is (T, 2T); pass T2 to override.
@@ -84,7 +80,7 @@ def clustering_counts(F, delta, T, T2=None, zeros=None, **kw) -> ClusterReport:
         raise ValueError("delta must be positive")
     t2 = 2 * T if T2 is None else T2
     if zeros is None:
-        zeros = zero_list(F, T, t2, **kw)
+        zeros = zero_list(F, T, t2, seed=seed)
     n_plus = sum(z.multiplicity for z in zeros if z.beta > 0.5 + delta)
     n_minus = sum(z.multiplicity for z in zeros if z.beta < 0.5 - delta)
     total = sum(z.multiplicity for z in zeros)
@@ -105,27 +101,21 @@ class LittlewoodReport:
     zero_count: int
 
 
-def littlewood_sum(F, b, T, zeros=None, profile=None, strip=None, **kw):
+def littlewood_sum(F, b, T, zeros=None, seed=0):
     """2 pi Sigma (beta - b) over T < gamma < 2T against its main term."""
-    if profile is None:
-        profile = _expr.degree_profile(F)
-    if strip is None:
-        strip = _zeros.zero_free_bounds(F, profile)
     mu_cap = min(
         (-1 - complex(mu).real for d in F.lfuncs.values()
          for mu in d.spectral_params),
         default=-1.0,
     )
     # admissible range: b at or below both E1 and -1 - Re(mu)
-    if b > min(strip.E1, mu_cap):
-        raise BOutOfRange(
-            f"b = {b} must not exceed min(E1, -1 - Re mu) = "
-            f"{min(strip.E1, mu_cap)}"
-        )
+    cap = min(F.strip.E1, mu_cap)
+    if b > cap:
+        raise BOutOfRange(f"b = {b} must not exceed min(E1, -1 - Re mu) = {cap}")
     if zeros is None:
-        zeros = zero_list(F, T, 2 * T, strip=strip, profile=profile, **kw)
+        zeros = zero_list(F, T, 2 * T, seed=seed)
     total = 2 * math.pi * sum(z.multiplicity * (z.beta - b) for z in zeros)
-    main = profile.deg_rk * (0.5 - b) * T * math.log(T)
+    main = F.profile.deg_rk * (0.5 - b) * T * math.log(T)
     dev = abs(total - main) / (T * math.log(math.log(T)))
     return LittlewoodReport(
         b=b, T=T, sum=total, main_term=main, deviation=dev,
@@ -172,7 +162,7 @@ def _window_width(F, epsilon, n):
     return max(1, _zeros._BLOCK_POINTS // per_n)
 
 
-def _audit_window(F, epsilon, ns, profile):
+def _audit_window(F, epsilon, ns):
     """A DiskReport, or the first winding error among its squares, per n in
     ns: the squares of every n wound in one _wind_each call, logged as one
     record.  An error that the call raises, rather than returns per square,
@@ -186,7 +176,7 @@ def _audit_window(F, epsilon, ns, profile):
     except Exception as exc:
         if len(ns) == 1:
             return [exc]
-        return [r for n in ns for r in _audit_window(F, epsilon, [n], profile)]
+        return [r for n in ns for r in _audit_window(F, epsilon, [n])]
     log.debug(
         "disks %d <= n <= %d: %d squares, %d contour points, "
         "%d evaluation rounds, %d lines moved", ns[0], ns[-1], len(wound),
@@ -198,12 +188,12 @@ def _audit_window(F, epsilon, ns, profile):
         i += len(squares)
         err = next((w for w in ws if isinstance(w, Exception)), None)
         out.append(DiskReport(n=n, centers=tuple(centers), count=sum(ws),
-                              expected=profile.deg_rk) if err is None else err)
+                              expected=F.profile.deg_rk) if err is None else err)
     return out
 
 
-def trivial_zero_audit(F, epsilon, n_range, profile=None):
-    """Zero counts in the disks around -2n - mu_r, one report per n.
+def trivial_zero_audit(F, epsilon, n_range):
+    """Zero counts in the disks around -2n - mu_r, one report per n >= 0.
 
     Winding runs over covering squares of side 2 epsilon; squares whose
     centers nearly coincide are merged so shared zeros count once.  The
@@ -212,20 +202,20 @@ def trivial_zero_audit(F, epsilon, n_range, profile=None):
     """
     if not 0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 0.5]")
-    if profile is None:
-        profile = _expr.degree_profile(F)
     ns = list(n_range)
-    width = _window_width(F, epsilon, ns[0]) if ns else 1
+    if not ns or min(ns) < 0:
+        raise ValueError("the disk indices n must be a non-empty range of n >= 0")
+    width = _window_width(F, epsilon, ns[0])
     reports = []
     for i in range(0, len(ns), width):
-        for r in _audit_window(F, epsilon, ns[i:i + width], profile):
+        for r in _audit_window(F, epsilon, ns[i:i + width]):
             if isinstance(r, Exception):
                 raise r
             reports.append(r)
     return reports
 
 
-def admissible_start(F, epsilon, run=5, n_limit=1 << 17, profile=None):
+def admissible_start(F, epsilon, run=5, n_limit=1 << 17):
     """Smallest found n0 whose disk families at n0 .. n0+run-1 all match.
 
     The zeros of an expression migrate into the predicted disks only beyond
@@ -242,11 +232,11 @@ def admissible_start(F, epsilon, run=5, n_limit=1 << 17, profile=None):
     raises a winding error only when it reads its n, so an error past the
     verified run is never raised.
     """
-    if profile is None:
-        profile = _expr.degree_profile(F)
+    if run < 1:
+        raise ValueError("run must be at least 1")
 
     def match(n):
-        return trivial_zero_audit(F, epsilon, [n], profile)[0].matches
+        return trivial_zero_audit(F, epsilon, [n])[0].matches
 
     n_lo, n_hi = 0, None
     n = 1
@@ -275,7 +265,7 @@ def admissible_start(F, epsilon, run=5, n_limit=1 << 17, profile=None):
         nonlocal width
         if n not in memo:
             ns = list(range(n, min(n + width, n_limit + run)))
-            memo.update(zip(ns, _audit_window(F, epsilon, ns, profile)))
+            memo.update(zip(ns, _audit_window(F, epsilon, ns)))
             width = min(2 * width, cap)
         if isinstance(memo[n], Exception):
             raise memo[n]
@@ -318,35 +308,37 @@ class FEReport:
     sigma: float
     points: list
     sign_matches: bool
-    decay_exponent: float | None  # slope of log r on log log|s|; None below 2 heights
+    decay_exponent: float | None  # slope of log r on log log|s| where r > _FE_NOISE
 
     @property
     def decreasing(self):
+        """r falls from height to height, or rises by at most _FE_NOISE."""
         rs = [p.r for p in self.points]
-        return all(b <= a for a, b in zip(rs, rs[1:]))
+        return all(b <= a + _FE_NOISE for a, b in zip(rs, rs[1:]))
 
 
-def asymptotic_fe_check(F, sigma, t_grid, profile=None) -> FEReport:
+def asymptotic_fe_check(F, sigma, t_grid) -> FEReport:
     """Reflected value F(1-s, dual) against the leading-monomial main term.
 
     r(t) = |direct/main - 1| should decay like 1/log|s|; the leading sign
-    must match the parity of the derivative-weighted degree.
+    must match the parity of the derivative-weighted degree.  The decay is
+    fitted where r exceeds the sides' evaluation error (for zeta r is
+    rounding), and is None below two such heights.
     """
     if sigma <= 1.5:
         raise ValueError("sigma must exceed 3/2")
     S = sigma + 1j * np.asarray(t_grid, dtype=float).reshape(-1)
-    if profile is None:
-        profile = _expr.degree_profile(F)
     try:
-        ratios = asymptotic_fe_ratio(F, S, profile, 1e-8)
+        ratios = asymptotic_fe_ratio(F, S, _FE_TOL)
     except RegionViolation as e:  # a grid point is a bad option, not a failure
         raise ValueError(str(e)) from None
     pts = [FEPoint(t=float(t), ratio=complex(q), r=abs(complex(q) - 1))
            for t, q in zip(t_grid, ratios)]
+    fit = [p for p in pts if p.r > _FE_NOISE]
     slope = None
-    if len(pts) > 1:
-        xs = [math.log(math.log(abs(complex(sigma, p.t)))) for p in pts]
-        ys = [math.log(max(p.r, 1e-300)) for p in pts]
+    if len(fit) > 1:
+        xs = [math.log(math.log(abs(complex(sigma, p.t)))) for p in fit]
+        ys = [math.log(p.r) for p in fit]
         slope = float(np.polyfit(xs, ys, 1)[0])
     return FEReport(sigma=sigma, points=pts,
                     sign_matches=all(p.ratio.real > 0 for p in pts),

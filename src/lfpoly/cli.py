@@ -67,12 +67,12 @@ def _profile_doc(p):
     }
 
 
-def _strip_doc(strip):
+def _strip_doc(bounds):
     return {
-        "E1": strip.E1,
-        "E2": strip.E2,
-        "E2certified": strip.E2certified,
-        "E1method": strip.E1method,
+        "E1": bounds.E1,
+        "E2": bounds.E2,
+        "E2certified": bounds.E2certified,
+        "E1method": bounds.E1method,
     }
 
 
@@ -153,15 +153,12 @@ def cmd_cluster(args):
 
 def cmd_audit(args):
     F = exprfile.load(args.file)
-    profile = _expr.degree_profile(F)
     if args.n_start is None:
-        n0 = analysis.admissible_start(F, args.epsilon, run=args.n_count,
-                                       profile=profile)
+        n0 = analysis.admissible_start(F, args.epsilon, run=args.n_count)
     else:
         n0 = args.n_start
-    reports = analysis.trivial_zero_audit(
-        F, args.epsilon, range(n0, n0 + args.n_count), profile=profile
-    )
+    reports = analysis.trivial_zero_audit(F, args.epsilon,
+                                          range(n0, n0 + args.n_count))
     ok = all(r.matches for r in reports)
     doc = {
         "epsilon": args.epsilon,

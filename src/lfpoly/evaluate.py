@@ -720,7 +720,7 @@ def _reflection_region(F, S):
     return ok
 
 
-def asymptotic_fe_main(F, S, profile, rel_tol=1e-9):
+def asymptotic_fe_main(F, S, rel_tol=1e-9):
     """F(1 - s, dual vector) and its main term predicted by the reflection
     formula over an array S, as ((u, g), (um, gm)) with F = u exp(g) and
     main = um exp(gm).
@@ -754,13 +754,14 @@ def asymptotic_fe_main(F, S, profile, rel_tol=1e-9):
         return b_factor(S, l, F.lfuncs[fid]) * D[:1], G
 
     u, g, _ = _sum_monomials(F.monomials, value, 1, S.size)
+    profile = F.profile
     um, gm, _ = _sum_monomials([F.monomials[j] for j in profile.J], main, 1, S.size)
     return (u[0], g), ((-1) ** profile.deg_der * um[0], gm)
 
 
-def asymptotic_fe_ratio(F, S, profile, rel_tol):
+def asymptotic_fe_ratio(F, S, rel_tol):
     """F(1 - s, dual) over its reflected main term at each point of the
     array S.  Both sides stay u exp(g) until their ratio, which is O(1)
     however far right s lies, is formed."""
-    (ud, gd), (um, gm) = asymptotic_fe_main(F, S, profile, rel_tol)
+    (ud, gd), (um, gm) = asymptotic_fe_main(F, S, rel_tol)
     return ud / um * np.exp(gd - gm)

@@ -4,11 +4,15 @@ An expression F(s) = sum_j c_j prod_u prod_l L^(l)(s, pi_u)^{d_{u,l,j}} is a
 list of monomials over a registry of L-function descriptors.  This module
 owns canonicalization, the three weighted degrees and the leading index set,
 Dirichlet-series convolution of the coefficients, the pole order at s = 1,
-and the predicted zero-count asymptotics.
+and the predicted zero-count asymptotics.  An expression is not changed
+once built, so its invariants are computed on first use and kept on it:
+F.profile = degree_profile(F) and F.strip = zeros.zero_free_bounds(F), the
+strip of its nontrivial zeros.  Those two functions compute afresh.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -77,6 +81,16 @@ class PolyExpression:
 
     def __repr__(self):
         return f"PolyExpression({len(self.monomials)} monomials, {sorted(self.lfuncs)})"
+
+    @functools.cached_property
+    def profile(self):
+        return degree_profile(self)
+
+    @functools.cached_property
+    def strip(self):
+        # zeros imports this module, so the import waits until first use
+        from . import zeros
+        return zeros.zero_free_bounds(self)
 
     @property
     def max_deriv(self):
@@ -301,11 +315,11 @@ def degree_profile(F: PolyExpression) -> DegreeProfile:
     )
 
 
-def predicted_count(F: PolyExpression, T: float, profile: DegreeProfile = None) -> float:
+def predicted_count(F: PolyExpression, T: float) -> float:
     """Main term alpha1 * T log T + alpha2 * T of the zero-count asymptotic."""
     if T <= 2:
         raise ValueError("prediction valid for T > 2")
-    p = profile if profile is not None else degree_profile(F)
+    p = F.profile
     return p.alpha1 * T * math.log(T) + p.alpha2 * T
 
 

@@ -210,7 +210,7 @@ def _zero_moments(F, rect, edges, w):
     the sum holds on the scaled far-left path too.  Scaling by rect's
     centre c and half-diameter h keeps |x| <= 1.
     """
-    p = _expr.pole_order(F) if rect.contains(1 + 0j) else 0
+    p = F.profile.p_F if rect.contains(1 + 0j) else 0
     c, h = rect.center, rect.diameter / 2
     n = w + p
     k = np.arange(max(2 * n, 0))
@@ -495,7 +495,7 @@ _TAIL_N = 1000
 _SCAN_CHUNK = 16  # heights per evaluation of the E1 scan
 
 
-def zero_free_bounds(F, profile=None) -> StripBounds:
+def zero_free_bounds(F) -> StripBounds:
     """E1/E2 such that all nontrivial zeros lie in E1 <= sigma <= E2.
 
     E2 comes from an explicit dominance bound on the Dirichlet tail (the
@@ -503,8 +503,7 @@ def zero_free_bounds(F, profile=None) -> StripBounds:
     certified.  E1 is a scan: descending integer lines on which the
     reflected main term dominates the full value with a factor-2 margin.
     """
-    if profile is None:
-        profile = _expr.degree_profile(F)
+    profile = F.profile
     series = _expr.dirichlet_coefficients(F, _TAIL_N)
     nF = profile.n_F
     absr = np.abs(series.eta)
@@ -529,7 +528,7 @@ def zero_free_bounds(F, profile=None) -> StripBounds:
     tgrid = np.arange(2.0, 50.0 + 1e-9, 0.1)
     t0, tally = time.perf_counter(), Counter()
     for sigma in range(-1, int(math.floor(default_E1)) - 1, -1):
-        if _scan_line_dominates(F, profile, sigma, tgrid, tally):
+        if _scan_line_dominates(F, sigma, tgrid, tally):
             E1 = float(sigma)
             break
     if E1 is None:
@@ -540,7 +539,7 @@ def zero_free_bounds(F, profile=None) -> StripBounds:
     return StripBounds(E1=E1, E2=float(E2), E2certified=True, E1method=method)
 
 
-def _scan_line_dominates(F, profile, sigma, tgrid, tally):
+def _scan_line_dominates(F, sigma, tgrid, tally):
     """True if the main term dominates at every valid height of the line:
     F(1 - s, dual) is within half the main term of it.
 
@@ -555,7 +554,7 @@ def _scan_line_dominates(F, profile, sigma, tgrid, tally):
         if not s.size:
             continue
         tally["points"] += s.size
-        ratio = asymptotic_fe_ratio(F, s, profile, 1e-6)
+        ratio = asymptotic_fe_ratio(F, s, 1e-6)
         if not np.all(np.abs(ratio - 1) < 0.5):
             return False
         checked = True
@@ -630,7 +629,7 @@ def _wound_bands(F, T1, T2, strip, seed, moments=False):
         done = {key: done[key]}
 
 
-def count_nontrivial(F, T1, T2, strip=None, profile=None, seed=0):
+def count_nontrivial(F, T1, T2, seed=0):
     """Number of zeros of F with E1 <= sigma <= E2 and T1' < t < T2.
 
     Unit-height winding bands with seeded edge jitter, each height's edge
@@ -639,12 +638,7 @@ def count_nontrivial(F, T1, T2, strip=None, profile=None, seed=0):
     bands report the heights used.  When bands fail, the error of the first
     is raised.
     """
-    if profile is None:
-        profile = _expr.degree_profile(F)
-    if strip is None:
-        strip = zero_free_bounds(F, profile)
-
     bands = [BandReport(r.t_lo, r.t_hi, w)
-             for w, r in _wound_bands(F, T1, T2, strip, seed)]
+             for w, r in _wound_bands(F, T1, T2, F.strip, seed)]
     total = sum(b.count for b in bands)
-    return CountResult(total=total, bands=bands, strip=strip)
+    return CountResult(total=total, bands=bands, strip=F.strip)

@@ -73,6 +73,23 @@ def test_littlewood_zeta(zeta_expr):
     assert rep.deviation < 5.0
 
 
+def test_littlewood_strip_computed_once(monkeypatch):
+    # the strip bounds the b check and the zeros' bands: derived once, and
+    # kept on the expression with its profile
+    F = zpoly((1.0, [(0, 1)]))
+    calls = []
+    real = Z.zero_free_bounds
+
+    def counted(G):
+        calls.append(G)
+        return real(G)
+
+    monkeypatch.setattr(Z, "zero_free_bounds", counted)
+    A.littlewood_sum(F, -1.0, 20)
+    assert calls == [F]
+    assert F.profile is F.profile
+
+
 def test_littlewood_affine_in_b(zeta_expr):
     # the sum is affine in -b with slope 2 pi N over the window
     zs = A.zero_list(zeta_expr, 20, 40)

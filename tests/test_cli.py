@@ -138,11 +138,14 @@ def test_audit(zeta_file, tmp_path, capsys):
     assert all(d["matches"] for d in doc["disks"])
 
 
-def test_fecheck(zeta_file, tmp_path, capsys):
-    # a decay fit needs two heights: one gives no exponent
-    for grid, fit in (("30,60", True), ("50", False)):
-        out = str(tmp_path / grid)
-        assert _run(["fecheck", zeta_file, "-o", out, "--sigma", "3",
+def test_fecheck(zeta_file, zeta_prime_file, tmp_path, capsys):
+    # a decay fit needs two heights where r exceeds the evaluation error:
+    # one height gives no exponent, and for zeta r is rounding at every one
+    for name, file, grid, fit in (("dzeta2", zeta_prime_file, "30,60", True),
+                                  ("dzeta1", zeta_prime_file, "50", False),
+                                  ("zeta2", zeta_file, "30,60", False)):
+        out = str(tmp_path / name)
+        assert _run(["fecheck", file, "-o", out, "--sigma", "3",
                      "--t-grid", grid]) == 0
         heights = grid.split(",")
         assert _labels(capsys) == [f"t={t}" for t in heights] + [
@@ -256,6 +259,10 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
     ["count", "--T", "20000"],
     ["zeros", "--T1", "30", "--T2", "20"],
     ["fecheck", "--sigma", "1.5"],
+    # an audit needs disks, at indices n >= 0
+    ["audit", "--n-count", "0"],
+    ["audit", "--n-start", "3", "--n-count", "0"],
+    ["audit", "--n-start", "-3"],
 ])
 def test_bad_height_window_is_usage_error(zeta_file, tmp_path, capsys, argv):
     out = str(tmp_path / "o")
@@ -393,6 +400,32 @@ def test_count_logs_strip_bounds_once(zeta_file, tmp_path, caplog):
                         r"scan [1-9]\d* F points, \d+\.\d{3} s", records[0])
 
 
+# an expression's degree profile and strip are derived once per run, on
+# the expression (F.profile, F.strip); audit and fecheck need no strip
+@pytest.mark.parametrize("argv, strips", [
+    (["count", "--T", "20"], 1),
+    (["zeros", "--T1", "14", "--T2", "22"], 1),
+    (["cluster", "--delta", "0.1", "--T", "14", "--T2", "22"], 1),
+    (["verify", "--T", "20"], 1),
+    (["audit", "--n-start", "3", "--n-count", "2"], 0),
+    (["fecheck", "--t-grid", "20,40"], 0),
+])
+def test_invariants_computed_once(zeta_file, tmp_path, monkeypatch, argv,
+                                  strips):
+    from lfpoly import expr as E, zeros as Z
+
+    calls = []
+    for mod, name in ((E, "degree_profile"), (Z, "zero_free_bounds")):
+        def counted(F, real=getattr(mod, name), name=name):
+            calls.append(name)
+            return real(F)
+
+        monkeypatch.setattr(mod, name, counted)
+    assert _run([argv[0], zeta_file, "-o", str(tmp_path)] + argv[1:]) == 0
+    assert calls.count("degree_profile") == 1
+    assert calls.count("zero_free_bounds") == strips
+
+
 def test_audit_mismatch_exit_code(zeta_prime_file, tmp_path):
     # at n = 3 the zeta' zero has not yet migrated into the disk
     out = str(tmp_path / "o")
@@ -425,6 +458,7 @@ def test_startup_without_scipy(zeta_file):
 def test_benchmark_hooks_exist():
     import ast
     import importlib
+    import inspect
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "lfbench", "tracer.py"), encoding="utf-8") as fh:
@@ -435,5 +469,13 @@ def test_benchmark_hooks_exist():
     assert names
     for mod, name in names:
         assert hasattr(importlib.import_module(f"lfpoly.{mod}"), name), (mod, name)
+    # a point counter reads the size of the argument at its position, which
+    # must stay the point array S
+    for e in traced.elts:
+        pos = {"_ARG0": 0, "_ARG1": 1}.get(getattr(e.elts[3], "id", None))
+        if pos is not None:
+            mod, name = e.elts[0].value, e.elts[1].value
+            fn = getattr(importlib.import_module(f"lfpoly.{mod}"), name)
+            assert list(inspect.signature(fn).parameters)[pos] == "S", (mod, name)
     args = cli._build_parser().parse_args(["count", "f.json", "--parallelism", "1"])
     assert args.parallelism == 1

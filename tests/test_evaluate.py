@@ -508,14 +508,11 @@ def test_fe_special_values():
 
 def test_asymptotic_fe_region_guard():
     F = zpoly((1.0, [(1, 1)]))
-    from lfpoly import expr as E
-
-    profile = E.degree_profile(F)
     with pytest.raises(RegionViolation):
-        ev.asymptotic_fe_main(F, 1.2 + 0j, profile)
+        ev.asymptotic_fe_main(F, 1.2 + 0j)
     # one point outside is enough: 3 = 2 * 2 - 1 is a shifted spectral point
     with pytest.raises(RegionViolation):
-        ev.asymptotic_fe_main(F, np.array([3.0 + 20j, 3.0 + 0.05j]), profile)
+        ev.asymptotic_fe_main(F, np.array([3.0 + 20j, 3.0 + 0.05j]))
 
 
 @pytest.mark.parametrize("sigma", [3.0, 50.0, 150.0])
@@ -524,12 +521,10 @@ def test_asymptotic_fe_main_scaled_oracle(zeta_prime, l_chi4, sigma):
     # log((1 + s) / 2)) / 2, and for zeta' L(chi_4) it is -b(s) zeta(1 - s)
     # L(1 - s, chi_4); u exp(g) against mpmath in log magnitude and phase,
     # where the plain value leaves the double range at sigma = 150
-    from lfpoly import expr as E
-
     zeta_chi4 = build([(1.0, [(ZETA, 1, 1), (l_chi4, 0, 1)])], [ZETA, l_chi4])
     S = sigma + 1j * np.array([20.0, 80.0])
     for F, other in ((zeta_prime, lambda w: 1), (zeta_chi4, _mp_l_chi4)):
-        _, (u, g) = ev.asymptotic_fe_main(F, S, E.degree_profile(F))
+        _, (u, g) = ev.asymptotic_fe_main(F, S)
         for s, ui, gi in zip(S, u, g):
             z = mp.mpc(s)
             b = (mp.log(z / 2) + mp.log((1 + z) / 2)) / 2
