@@ -28,8 +28,6 @@ class CountReport:
     empirical: int
     slack: float  # |empirical - predicted| / log T
     bands: list
-    assumption_satisfied: bool
-    strip: _zeros.StripBounds
 
 
 def verify_count(F, T, seed=0) -> CountReport:
@@ -43,8 +41,6 @@ def verify_count(F, T, seed=0) -> CountReport:
         empirical=res.total,
         slack=slack,
         bands=res.bands,
-        assumption_satisfied=F.profile.assumption_satisfied,
-        strip=res.strip,
     )
 
 

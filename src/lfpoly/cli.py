@@ -103,8 +103,8 @@ def cmd_zeros(args):
 
 
 def cmd_count(args):
-    rep = analysis.verify_count(exprfile.load(args.file), args.T,
-                                seed=args.seed)
+    F = exprfile.load(args.file)
+    rep = analysis.verify_count(F, args.T, seed=args.seed)
     header = ["tLo", "tHi", "count"]
     rows = [[b.t_lo, b.t_hi, b.count] for b in rep.bands]
     doc = {
@@ -112,8 +112,8 @@ def cmd_count(args):
         "empirical": rep.empirical,
         "predicted": rep.predicted,
         "slack": rep.slack,
-        "assumptionSatisfied": rep.assumption_satisfied,
-        "strip": _strip_doc(rep.strip),
+        "assumptionSatisfied": F.profile.assumption_satisfied,
+        "strip": _strip_doc(F.strip),
         "bands": [dict(zip(header, r)) for r in rows],
     }
     lines = _table([

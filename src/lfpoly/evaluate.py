@@ -15,8 +15,8 @@ derivative orders with a bound per order, and values are its row 0.  Each
 batch sizes its own sum from the error target: the number of terms N and
 of Bernoulli terms nb are the cheapest pair whose truncation bound at the
 batch's worst point lies below the rounding floor, with N never above
-max(20, 1.2 max|t|).  The main sum of a large batch takes exp, cos and
-sin once per distinct abscissa and height, which contour batches repeat,
+max(20, 1.2 max|t|).  The main sum takes exp, cos and sin once per
+distinct abscissa and height of the batch, which contour batches repeat,
 and sums in row chunks of points, so its temporaries do not grow with the
 batch.
 The reflection factor's log Gamma is Stirling's series after a shift to
@@ -228,12 +228,12 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     times that of zeta(s + e, c / q), entire in s, so Cauchy's estimate
     bounds its j-th coefficient by its largest value on |e| = _R, where
     |q^-(s+e)| <= q^(_R - sigma), over _R^j.  N and the number nb of
-    Bernoulli terms come from the error target (_em_size).  A main sum of
-    at least _BLOCK entries gathers exp(-sigma log n), cos and sin(t log n)
-    per point from tables over the distinct sigma and t, so every entry is
-    the double a point-by-point sum would give.  With subtract_pole each
-    tail loses 1 / (q (s - 1 + e)), so the series is zeta(s, a) - 1/(s - 1),
-    or L(s, chi) itself for a non-principal chi, entire at s = 1.
+    Bernoulli terms come from the error target (_em_size).  The main sum
+    gathers exp(-sigma log n), cos and sin(t log n) per point from tables
+    over the distinct sigma and t, so every entry is the double a
+    point-by-point sum would give.  With subtract_pole each tail loses 1 /
+    (q (s - 1 + e)), so the series is zeta(s, a) - 1/(s - 1), or L(s, chi)
+    itself for a non-principal chi, entire at s = 1.
     """
     S = np.atleast_1d(np.asarray(S, dtype=complex))
     q, cls, w = _classes(a)
@@ -253,14 +253,10 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     # chunk is (its rows, their rows of the sigma table, of the t table)
     B = max(16, _BLOCK // S.size)
     R = _BLOCK // B
-    chunks = [slice(r0, r0 + R) for r0 in range(0, S.size, R)]
-    if S.size * logs.size >= _BLOCK:
-        usig, isig = np.unique(sig, return_inverse=True)
-        ut, it = np.unique(t, return_inverse=True)
-        chunks = [(rows, isig[rows], it[rows]) for rows in chunks]
-    else:
-        usig, ut = sig, t
-        chunks = [(rows, rows, rows) for rows in chunks]
+    usig, isig = np.unique(sig, return_inverse=True)
+    ut, it = np.unique(t, return_inverse=True)
+    chunks = [(rows, isig[rows], it[rows])
+              for rows in (slice(r0, r0 + R) for r0 in range(0, S.size, R))]
     # left of the strip n^-sigma may overflow; the gate refuses what it gives
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, logs.size, B):
@@ -276,36 +272,31 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
                 mass[rows] += mod @ aPb
         C = (re + 1j * im).T
     mass = mass.T
-    # per class, as columns against the points: x = N + c / q, L = log M
+    # per class, as columns against the points: x = N + c / q, L = log M,
+    # ep[j] = (-L)^j / j! and log x
     x = [N + c / q for c in cls]
     Ls = [math.log(q * N + c) for c in cls]
     ep = [np.array([(-l) ** j / math.factorial(j) for l in Ls])[:, None]
           for j in range(n)]
+    lx = np.array([math.log(xc) for xc in x])[:, None]
     tail, tail_mass = _tail_series(S, Ls, ep, subtract_pole)
-    # 1/2 M^-(s+e) plus the Bernoulli terms B_2j / (2j)! (s + e)_(2j-1)
-    # M^-(s+e) x^(1-2j), summed as M^-(s+e) Q(e) by Horner's rule; AQ
-    # carries the absolute masses.  poch_next collects |s + k| + _R for k =
-    # 0 .. 2 nb, the Pochhammer factor of the truncation bound
-    poch_next = (np.abs(S + 2 * nb) + _R) * (np.abs(S + 2 * nb - 1) + _R)
+    # 1/2 M^-(s+e) plus the Bernoulli terms B_(k+1) / (k+1)! (s + e)_k
+    # M^-(s+e) x^-k over odd k < 2 nb, summed as M^-(s+e) Q(e) by Horner's
+    # rule over the factors V[k] = s + k; AQ carries the absolute masses and
+    # poch the product of |s + k| + _R over k <= 2 nb, the Pochhammer factor
+    # of the truncation bound
+    V = S + np.arange(2 * nb + 1)[:, None]
+    aV = np.abs(V)
+    poch = aV[2 * nb] + _R
     Q = np.zeros((n, len(cls), S.size), dtype=complex)
     AQ = np.zeros(Q.shape)
-
-    def times(k):
-        nonlocal Q, AQ
-        v = S + k
-        av = np.abs(v)
-        poch_next[:] *= av + _R
-        Q, AQ = _shift_mul(Q, v), _shift_mul(AQ, av)
-
-    cb = [np.array([_BFLOAT[2 * j] / math.factorial(2 * j) * xc ** (1 - 2 * j)
-                    for xc in x])[:, None] for j in range(1, nb + 1)]
-    for j in range(nb, 0, -1):
-        if j < nb:
-            times(2 * j)
-            times(2 * j - 1)
-        Q[0] += cb[j - 1]
-        AQ[0] += np.abs(cb[j - 1])
-    times(0)
+    for k in range(2 * nb - 1, -1, -1):
+        poch *= aV[k] + _R
+        Q, AQ = _shift_mul(Q, V[k]), _shift_mul(AQ, aV[k])
+        if k % 2:
+            b = [_BFLOAT[k + 1] / math.factorial(k + 1) * xc ** -k for xc in x]
+            Q[0] += np.array(b)[:, None]
+            AQ[0] += np.abs(b)[:, None]
     Q[0] += 0.5
     AQ[0] += 0.5
     X = np.exp(-S * np.array(Ls)[:, None]) * w
@@ -323,9 +314,8 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     cnext = abs(_BFLOAT[2 * nb + 2]) / math.factorial(2 * nb + 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         safety = np.where(lo > 0, (np.abs(S) + _R + 2 * nb + 1) / np.maximum(lo, 1e-300), np.inf)
-        lx = np.array([math.log(xc) for xc in x])[:, None]
         scale = np.abs(w) * np.exp(-lo * lx + (_R - sig) * math.log(q))
-        rmax = cnext * poch_next * scale.sum(axis=0) * safety
+        rmax = cnext * poch * scale.sum(axis=0) * safety
     trunc = rmax / _R ** np.arange(n)[:, None]
     return C, trunc, rnd
 

@@ -574,7 +574,6 @@ class BandReport:
 class CountResult:
     total: int
     bands: list
-    strip: StripBounds
 
     def __int__(self):
         return self.total
@@ -641,4 +640,4 @@ def count_nontrivial(F, T1, T2, seed=0):
     bands = [BandReport(r.t_lo, r.t_hi, w)
              for w, r in _wound_bands(F, T1, T2, F.strip, seed)]
     total = sum(b.count for b in bands)
-    return CountResult(total=total, bands=bands, strip=F.strip)
+    return CountResult(total=total, bands=bands)

@@ -15,7 +15,7 @@ def test_verify_count_zeta_100(zeta_expr):
     rep = A.verify_count(zeta_expr, 100)
     assert rep.empirical == 29
     assert rep.slack < 1.0
-    assert rep.assumption_satisfied
+    assert zeta_expr.profile.assumption_satisfied
 
 
 def test_verify_count_matches_prediction_shape(zeta_expr):

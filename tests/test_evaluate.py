@@ -379,6 +379,16 @@ def test_pole_order_reads_table_at_1(l_chi4):
 @example(name="zeta", sigma=-2.01, t=300.0, flip=True)
 @example(name="chi3", sigma=-1.99, t=250.0, flip=False)
 @example(name="zeta", sigma=3.9, t=1.0, flip=False)
+# real s = 0, -1, -2: the Bernoulli Horner factor s + k is exactly 0 at k = -s
+@example(name="zeta", sigma=0.0, t=0.0, flip=False)
+@example(name="zeta", sigma=-1.0, t=0.0, flip=False)
+@example(name="zeta", sigma=-2.0, t=0.0, flip=False)
+@example(name="chi3", sigma=0.0, t=0.0, flip=False)
+@example(name="chi3", sigma=-1.0, t=0.0, flip=False)
+@example(name="chi3", sigma=-2.0, t=0.0, flip=False)
+@example(name="chi4", sigma=0.0, t=0.0, flip=False)
+@example(name="chi4", sigma=-1.0, t=0.0, flip=False)
+@example(name="chi4", sigma=-2.0, t=0.0, flip=False)
 def test_taylor_bounds_honest(name, sigma, t, flip):
     chi = _ORACLE_CHARS[name]
     desc = ZETA if chi is None else dirichlet_descriptor(chi)

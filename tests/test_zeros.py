@@ -117,7 +117,7 @@ def test_bands_tile_under_retry(zeta_expr, monkeypatch, caplog):
     boundary = next(r for r in caplog.records if r.msg.startswith("bands")).args[1]
     grazed = [boundary, heights[heights.index(boundary) + 5]]
     real = Z.eval_F_scaled_batch
-    E1, E2 = want.strip.E1, want.strip.E2
+    E1, E2 = zeta_expr.strip.E1, zeta_expr.strip.E2
 
     def grazing(F, pts, rel_tol):
         u, g = real(F, pts, rel_tol)
