@@ -5,86 +5,35 @@ coefficients, controlled-accuracy evaluation of zeta and Dirichlet
 L-functions, argument-principle zero location, and verification reports.
 """
 
-from .analysis import (
-    admissible_start,
-    asymptotic_fe_check,
-    clustering_counts,
-    littlewood_sum,
-    trivial_zero_audit,
-    verify_count,
-    zero_list,
-)
-from .characters import Character, character_table
-from .descriptors import (
-    LFunctionDescriptor,
-    dirichlet_descriptor,
-    zeta_descriptor,
-)
-from .evaluate import (
-    dirichlet_l,
-    eval_F,
-    eval_F_batch,
-    hurwitz_zeta,
-    zeta,
-)
-from .expr import (
-    DegreeProfile,
-    Monomial,
-    PolyExpression,
-    canonicalize,
-    degree_profile,
-    dirichlet_coefficients,
-    first_nonzero_index,
-    pole_order,
-    predicted_count,
-)
-from .exprfile import dump, dumps, load, loads
-from .zeros import (
-    Rectangle,
-    ZeroRecord,
-    count_nontrivial,
-    locate_zeros,
-    winding_count,
-    zero_free_bounds,
-)
+import importlib
+
+# each public name and the module that defines it; a module is imported when
+# one of its names is first read (PEP 562), so a process that needs only
+# expr and exprfile, as every CLI command does first, imports nothing else
+_SOURCES = {
+    "analysis": ("admissible_start", "asymptotic_fe_check", "clustering_counts",
+                 "littlewood_sum", "trivial_zero_audit", "verify_count",
+                 "zero_list"),
+    "characters": ("Character", "character_table"),
+    "descriptors": ("LFunctionDescriptor", "dirichlet_descriptor",
+                    "zeta_descriptor"),
+    "evaluate": ("dirichlet_l", "eval_F", "eval_F_batch", "hurwitz_zeta", "zeta"),
+    "expr": ("DegreeProfile", "Monomial", "PolyExpression", "canonicalize",
+             "degree_profile", "dirichlet_coefficients", "first_nonzero_index",
+             "pole_order", "predicted_count"),
+    "exprfile": ("dump", "dumps", "load", "loads"),
+    "zeros": ("Rectangle", "ZeroRecord", "count_nontrivial", "locate_zeros",
+              "winding_count", "zero_free_bounds"),
+}
+_MODULE_OF = {name: mod for mod, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Character",
-    "DegreeProfile",
-    "LFunctionDescriptor",
-    "Monomial",
-    "PolyExpression",
-    "Rectangle",
-    "ZeroRecord",
-    "admissible_start",
-    "asymptotic_fe_check",
-    "canonicalize",
-    "character_table",
-    "clustering_counts",
-    "count_nontrivial",
-    "degree_profile",
-    "dirichlet_coefficients",
-    "dirichlet_descriptor",
-    "dirichlet_l",
-    "dump",
-    "dumps",
-    "eval_F",
-    "eval_F_batch",
-    "first_nonzero_index",
-    "hurwitz_zeta",
-    "littlewood_sum",
-    "load",
-    "loads",
-    "locate_zeros",
-    "pole_order",
-    "predicted_count",
-    "trivial_zero_audit",
-    "verify_count",
-    "winding_count",
-    "zero_free_bounds",
-    "zero_list",
-    "zeta",
-    "zeta_descriptor",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{mod}", __name__), name)

@@ -15,10 +15,12 @@ derivative orders with a bound per order, and values are its row 0.  Each
 batch sizes its own sum from the error target: the number of terms N and
 of Bernoulli terms nb are the cheapest pair whose truncation bound at the
 batch's worst point lies below the rounding floor, with N never above
-max(20, 1.2 max|t|).  The main sum takes exp, cos and sin once per
-distinct abscissa and height of the batch, which contour batches repeat,
-and sums in row chunks of points, so its temporaries do not grow with the
-batch.
+max(20, 1.2 max|t|).  The main sum is a grid: per column block of terms,
+one matrix product of cos and sin of t log n over the distinct heights
+against n^-sigma over the distinct abscissae gives every (height,
+abscissa) pair at once, and each point reads its entry.  Contour batches
+repeat a few heights and abscissae, so the grid is a few times their
+points; _grid_groups splits a batch whose grid would be larger.
 The reflection factor's log Gamma is Stirling's series after a shift to
 Re >= 8, as a power series too (_loggamma); numpy is the only dependency.
 One truncated series product over the monomials (_sum_monomials) gives
@@ -60,8 +62,13 @@ _REGION_EPS = 0.1
 # radius of the circle on which Cauchy's estimate bounds the truncation
 # error of every Taylor coefficient
 _R = 0.5
-# entries per row chunk of a column block of the main sum: small batches
-# take few large blocks, large ones blocks of 16 terms in chunks of points
+# the main sum's grid of heights x abscissae (_grid_groups): a batch is one
+# grid when the grid holds at most _GRID times its points, or when its
+# cells beyond the points cost at most _GRID_SLACK entries of the products
+# (cells x terms), which is less than splitting it costs in numpy calls; a
+# column block of at least 16 terms keeps each table within _BLOCK entries
+_GRID = 8
+_GRID_SLACK = 1 << 18
 _BLOCK = 1 << 14
 # Euler-Maclaurin sizing (_em_size): the truncation bound must lie below
 # _FLOOR times a rounding floor; B_(2 _NB_MAX + 2) = B_60 is the last
@@ -211,6 +218,39 @@ def _least_order_weight(x, lmax):
     return min((_R * x) ** j / math.factorial(j) for j in range(lmax + 1))
 
 
+def _grid_groups(sig, t, terms):
+    """The groups of a batch's main sum over terms terms, each as (usig,
+    ut, rows, js, jt): its distinct abscissae and heights, both sorted, and
+    its points rows of the batch (all of them, as a slice, when one group
+    takes the batch), the i-th of which is usig[js[i]] + 1j ut[jt[i]].
+
+    A batch is one group when its grid, distinct heights x abscissae,
+    holds at most _GRID times its points, as a contour batch's does, or
+    when the grid's cells beyond its points cost at most _GRID_SLACK
+    entries of the products.  Any other batch splits into runs of _GRID
+    consecutive abscissae, each with its own heights; a run has no more
+    heights than points, so its grid stays within _GRID times its points.
+    """
+    usig, isig = np.unique(sig, return_inverse=True)
+    ut, it = np.unique(t, return_inverse=True)
+    cells = usig.size * ut.size
+    if cells <= _GRID * sig.size or (cells - sig.size) * terms <= _GRID_SLACK:
+        yield usig, ut, slice(None), isig, it
+        return
+    # the points of run k are order[pb[k]:pb[k + 1]], and its heights the
+    # (run, height) pairs pair[tb[k]:tb[k + 1]]
+    run = isig // _GRID
+    order = np.argsort(run, kind="stable")
+    pair, ip = np.unique(run * ut.size + it, return_inverse=True)
+    bounds = np.arange(run.max() + 2)
+    pb = np.searchsorted(run[order], bounds)
+    tb = np.searchsorted(pair, bounds * ut.size)
+    for k in bounds[:-1]:
+        rows = order[pb[k] : pb[k + 1]]
+        yield (usig[k * _GRID : (k + 1) * _GRID], ut[pair[tb[k] : tb[k + 1]] % ut.size],
+               rows, isig[rows] - k * _GRID, ip[rows] - tb[k])
+
+
 def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     """Euler-Maclaurin zeta(s + e, a), or L(s + e, chi) when a is a
     Dirichlet character, as a power series in e over an array of points.
@@ -229,9 +269,13 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     bounds its j-th coefficient by its largest value on |e| = _R, where
     |q^-(s+e)| <= q^(_R - sigma), over _R^j.  N and the number nb of
     Bernoulli terms come from the error target (_em_size).  The main sum
-    gathers exp(-sigma log n), cos and sin(t log n) per point from tables
-    over the distinct sigma and t, so every entry is the double a
-    point-by-point sum would give.  With subtract_pole each tail loses 1 /
+    runs group by group (_grid_groups) over the grid of the group's
+    distinct heights x abscissae: per column block of B terms, one matrix
+    product of cos(t log n) and sin(t log n) against the columns n^-sigma
+    P[n] of every abscissa, and n^-sigma |P[n]| for the rounding mass; each
+    point reads its (height, abscissa) entry.  Sums run in another order
+    than point by point, so entries agree with one-point calls within
+    their bounds, not to the bit.  With subtract_pole each tail loses 1 /
     (q (s - 1 + e)), so the series is zeta(s, a) - 1/(s - 1), or L(s, chi)
     itself for a non-principal chi, entire at s = 1.
     """
@@ -243,35 +287,34 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     sig, t = S.real, S.imag
     N, nb = _em_size(float(sig.min()), float(np.abs(S).max()),
                      float(np.abs(t).max()), a, lmax, S.size)
-    # the terms n = q k + c in increasing order, each row of P weighted by w_c
+    # the terms n = q k + c in increasing order, one column of P each, with
+    # w_c (-log n)^j / j! in row j
     logs = np.log((q * np.arange(N)[:, None] + np.array(cls)).ravel())
-    P = np.tile(w, (N, 1)) * np.stack([(-logs) ** j / math.factorial(j) for j in range(n)], axis=1)
+    P = np.tile(w.T, N) * np.stack([(-logs) ** j / math.factorial(j) for j in range(n)])
     aP = np.abs(P)
-    re, im = np.zeros((2, S.size, n), dtype=P.dtype)
-    mass = np.zeros((S.size, n))
-    # B terms per column block, R points per row chunk: B R <= _BLOCK; each
-    # chunk is (its rows, their rows of the sigma table, of the t table)
-    B = max(16, _BLOCK // S.size)
-    R = _BLOCK // B
-    usig, isig = np.unique(sig, return_inverse=True)
-    ut, it = np.unique(t, return_inverse=True)
-    chunks = [(rows, isig[rows], it[rows])
-              for rows in (slice(r0, r0 + R) for r0 in range(0, S.size, R))]
+    C = np.empty((n, S.size), dtype=complex)
+    mass = np.empty((n, S.size))
     # left of the strip n^-sigma may overflow; the gate refuses what it gives
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, logs.size, B):
-            blk = logs[i0 : i0 + B]
-            emod = np.exp(-np.multiply.outer(usig, blk))
-            ph = np.multiply.outer(ut, blk)
-            cos, sin = np.cos(ph), np.sin(ph)
-            Pb, aPb = P[i0 : i0 + B], aP[i0 : i0 + B]
-            for rows, js, jt in chunks:
-                mod = emod[js]
-                re[rows] += (mod * cos[jt]) @ Pb
-                im[rows] -= (mod * sin[jt]) @ Pb
-                mass[rows] += mod @ aPb
-        C = (re + 1j * im).T
-    mass = mass.T
+        for usig, ut, rows, js, jt in _grid_groups(sig, t, logs.size):
+            # sum_n cos(t log n) and sin(t log n) times n^-sigma P[n] over
+            # heights x (abscissa, order), one product per block of B terms,
+            # and n^-sigma |P[n]| per abscissa; B keeps each table within
+            # _BLOCK entries
+            ns = usig.size * n
+            B = max(16, _BLOCK // max(2 * ut.size, ns))
+            grid = np.zeros((2 * ut.size, ns), dtype=P.dtype)
+            m = np.zeros((usig.size, n))
+            for i0 in range(0, logs.size, B):
+                blk = logs[i0 : i0 + B]
+                emod = np.exp(-np.multiply.outer(usig, blk))
+                ph = np.multiply.outer(ut, blk)
+                A = (emod[:, None] * P[:, i0 : i0 + B]).reshape(ns, blk.size).T
+                grid += np.concatenate([np.cos(ph), np.sin(ph)]) @ A
+                m += emod @ aP[:, i0 : i0 + B].T
+            re, im = grid.reshape(2, ut.size, usig.size, n)[:, jt, js]
+            C[:, rows] = (re - 1j * im).T
+            mass[:, rows] = m[js].T
     # per class, as columns against the points: x = N + c / q, L = log M,
     # ep[j] = (-L)^j / j! and log x
     x = [N + c / q for c in cls]

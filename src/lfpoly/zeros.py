@@ -50,9 +50,9 @@ _STEP0 = 0.25  # initial spacing of contour samples
 # positions tried in turn by a line whose edge grazes a zero, in units of
 # the line's gap (_wind)
 _OFFSETS = (0.0, 0.01, -0.01, 0.02, -0.02, 0.03)
-# initial samples per block of bands, counted edge by edge: 50 zeta bands
+# initial samples per block of bands, counted edge by edge: 100 zeta bands
 # of 30 (a height's edge and the band's two sides; 26 distinct points)
-_BLOCK_POINTS = 1500
+_BLOCK_POINTS = 3000
 
 
 @dataclass(frozen=True)
@@ -600,10 +600,11 @@ def _wound_bands(F, T1, T2, strip, seed, moments=False):
     height, and the wound edge, where the block before ended, so the bands
     tile the window however their heights move.  A block holds the bands
     whose initial samples fit in _BLOCK_POINTS, at least one: one kernel
-    batch per refinement round, which the kernel's row chunks keep flat in
-    memory.  A block winds once every band of the block before has been
-    taken, and its first winding error is raised before any of its bands
-    is yielded.
+    batch per refinement round, which the kernel sums as one grid of its
+    distinct heights x abscissae (evaluate._grid_groups), so a batch costs
+    about its distinct heights times the terms plus a fixed cost per call.
+    A block winds once every band of the block before has been taken, and
+    its first winding error is raised before any of its bands is yielded.
     """
     if T2 > MAX_HEIGHT:
         raise ValueError(f"height {T2} exceeds the desk-scale cap {MAX_HEIGHT}")

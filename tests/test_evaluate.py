@@ -446,10 +446,12 @@ def test_em_bounds_high(s, a):
 
 # real winding batches: the distinct first samples of the edges of adjacent
 # zeta bands near t = 1900 share their abscissae and, edge by edge, their
-# heights, which the main sum evaluates once each.  Three bands fit one row
-# chunk, and every entry must match a one-point call; ninety bands span
-# several row chunks, and the entries on both sides of every chunk boundary
-# must.  A few entries of each are checked against mpmath
+# heights, and the main sum takes each batch as one grid of its distinct
+# heights x abscissae.  Three bands make a small grid, and every entry must
+# match a one-point call; ninety bands make one that spans several column
+# blocks of terms, and the entries at the lowest and highest height of
+# every abscissa, the grid's edges, must.  A few entries of each are
+# checked against mpmath
 @pytest.mark.parametrize("lmax", [0, 2])
 def test_em_contour_batch(lmax):
     for nbands in (3, 90):
@@ -459,14 +461,16 @@ def test_em_contour_batch(lmax):
         S = np.unique(np.concatenate([Z._edge_points(a, b, Z._STEP0)
                                       for a, b in edges]))
         assert np.unique(S.imag).size < S.size / 2
+        N, _ = ev._em_size(S.real.min(), np.abs(S).max(), np.abs(S.imag).max(),
+                           1.0, lmax, S.size)
+        [(usig, ut, rows, js, jt)] = ev._grid_groups(S.real, S.imag, N)
+        assert usig.size * ut.size <= ev._GRID * S.size
         C, trunc, rnd = ev._hurwitz_batch(S, 1.0, lmax)
-        R = ev._BLOCK // max(16, ev._BLOCK // S.size)
         if nbands == 3:
-            assert S.size <= R
             check = range(S.size)
         else:
-            assert S.size > 2 * R
-            check = [i for r0 in range(R, S.size, R) for i in (r0 - 1, r0)]
+            assert N > 2 * max(16, ev._BLOCK // max(2 * ut.size, usig.size * (lmax + 1)))
+            check = {i for x in S.real for i in np.flatnonzero(S.real == x)[[0, -1]]}
         for i in check:
             C1, trunc1, rnd1 = ev._hurwitz_batch(S[i : i + 1], 1.0, lmax)
             tol = trunc[:, i] + rnd[:, i] + trunc1[:, 0] + rnd1[:, 0]
@@ -476,6 +480,42 @@ def test_em_contour_batch(lmax):
                 for l in range(lmax + 1):
                     ref = mp.zeta(mp.mpc(S[i]), 1, derivative=l) / math.factorial(l)
                     assert abs(C[l, i] - complex(ref)) <= trunc[l, i] + rnd[l, i], (S[i], l)
+
+
+# a batch with no abscissa or height repeated splits into runs of _GRID
+# abscissae, each grid within _GRID times its points; the entries on both
+# sides of every run boundary match one-point calls, and four match mpmath
+@pytest.mark.parametrize("lmax", [0, 3])
+@pytest.mark.parametrize("name", ["zeta", "chi4"])
+def test_em_scattered_batch(name, lmax, monkeypatch):
+    rng = np.random.default_rng(25)
+    S = rng.uniform(-1.9, 3, 400) + 1j * rng.uniform(-60, 200, 400)
+    chi = _ORACLE_CHARS[name]
+    a = 1.0 if chi is None else chi
+    real, groups = ev._grid_groups, []
+
+    def recorded(*args):
+        groups.extend(real(*args))
+        return groups
+
+    monkeypatch.setattr(ev, "_grid_groups", recorded)
+    C, trunc, rnd = ev._hurwitz_batch(S, a, lmax)
+    monkeypatch.undo()
+    seen = np.concatenate([rows for _, _, rows, _, _ in groups])
+    assert len(groups) == 400 // ev._GRID and np.array_equal(np.sort(seen), np.arange(400))
+    for usig, ut, rows, js, jt in groups:
+        assert usig.size * ut.size <= ev._GRID * rows.size
+        assert np.array_equal(usig[js] + 1j * ut[jt], S[rows])
+    for i in {int(rows[k]) for _, _, rows, _, _ in groups for k in (0, -1)}:
+        C1, trunc1, rnd1 = ev._hurwitz_batch(S[i : i + 1], a, lmax)
+        tol = trunc[:, i] + rnd[:, i] + trunc1[:, 0] + rnd1[:, 0]
+        assert (np.abs(C[:, i] - C1[:, 0]) <= tol).all(), S[i]
+    with mp.workdps(30):
+        for i in np.argsort(S.imag)[[0, 133, 266, 399]]:
+            refs = _mp_derivatives(chi, S[i], lmax)
+            for l, ref in enumerate(refs):
+                want = ref / math.factorial(l)
+                assert abs(C[l, i] - want) <= trunc[l, i] + rnd[l, i], (S[i], l)
 
 
 # --- functional-equation pieces -------------------------------------------

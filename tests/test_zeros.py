@@ -95,9 +95,10 @@ def test_lockstep_matches_single_loops(k):
 
 
 def test_band_blocks_logged(zeta_expr, caplog):
-    # one DEBUG record per block of bands wound in lockstep
+    # one DEBUG record per block of bands wound in lockstep; a block holds
+    # about 100 zeta bands, so the window spans two
     with caplog.at_level(logging.DEBUG, logger="lfpoly.zeros"):
-        res = Z.count_nontrivial(zeta_expr, 0, 60)
+        res = Z.count_nontrivial(zeta_expr, 0, 200)
     recs = [r for r in caplog.records
             if r.name == "lfpoly.zeros" and r.msg.startswith("bands")]
     assert 1 < len(recs) < len(res.bands)
@@ -142,6 +143,28 @@ def test_count_work_edges_once(zeta_expr, monkeypatch):
     calls = _count_calls(monkeypatch, "eval_F_scaled_batch")
     assert int(Z.count_nontrivial(zeta_expr, 0, 200, seed=0)) == 79
     assert sum(len(args[1]) for args in calls) <= 0.7 * 8661
+
+
+# the kernel sums each contour batch as one grid of its distinct heights x
+# abscissae: the band edges of a count, and the E1 scan, the band edges and
+# the Newton points of a zero search, repeat their heights and abscissae
+# enough that no batch splits
+def test_contour_batches_one_grid(zeta_expr, zeta_prime, monkeypatch):
+    shapes = []
+    real = ev._grid_groups
+
+    def recorded(sig, t, terms):
+        groups = list(real(sig, t, terms))
+        shapes.append((sig.size, [(u.size, h.size) for u, h, *_ in groups]))
+        return groups
+
+    monkeypatch.setattr(ev, "_grid_groups", recorded)
+    Z.count_nontrivial(zeta_expr, 0, 200)
+    A.zero_list(zeta_prime, 14, 40)
+    assert len(shapes) > 20 and max(n for n, _ in shapes) > 1000
+    for n, groups in shapes:
+        [(nsig, nt)] = groups
+        assert nsig * nt <= ev._GRID * n
 
 
 def test_band_blocks_size_invariant(zeta_expr, zeta_prime, monkeypatch):
