@@ -15,12 +15,15 @@ derivative orders with a bound per order, and values are its row 0.  Each
 batch sizes its own sum from the error target: the number of terms N and
 of Bernoulli terms nb are the cheapest pair whose truncation bound at the
 batch's worst point lies below the rounding floor, with N never above
-max(20, 1.2 max|t|).  The main sum is a grid: per column block of terms,
-one matrix product of cos and sin of t log n over the distinct heights
-against n^-sigma over the distinct abscissae gives every (height,
-abscissa) pair at once, and each point reads its entry.  Contour batches
-repeat a few heights and abscissae, so the grid is a few times their
-points; _grid_groups splits a batch whose grid would be larger.
+max(20, 1.2 max|t|).  The main sum is a grid: per block of distinct
+heights, one matrix product of the table of n^-it over every term against
+n^-sigma over the distinct abscissae gives every (height, abscissa) pair
+at once, and each point reads its entry.  Contour batches repeat a few
+heights and abscissae, so the grid is a few times their points;
+_grid_groups splits a batch whose grid would be larger.  Large tables are
+sieved over the primes (_sieve_plan): n^-it is completely multiplicative,
+so cos and sin run only at n = 1 and the primes, and every other n is one
+complex product of its least prime factor's entry and its cofactor's.
 The reflection factor's log Gamma is Stirling's series after a shift to
 Re >= 8, as a power series too (_loggamma); numpy is the only dependency.
 One truncated series product over the monomials (_sum_monomials) gives
@@ -65,11 +68,15 @@ _R = 0.5
 # the main sum's grid of heights x abscissae (_grid_groups): a batch is one
 # grid when the grid holds at most _GRID times its points, or when its
 # cells beyond the points cost at most _GRID_SLACK entries of the products
-# (cells x terms), which is less than splitting it costs in numpy calls; a
-# column block of at least 16 terms keeps each table within _BLOCK entries
+# (cells x terms), which is less than splitting it costs in numpy calls.
+# Its table of n^-it goes by blocks of heights, each block every term and
+# at most _BLOCK entries (one height at least); a table of at least _SIEVE
+# entries is sieved over the primes, below which the sieve's numpy calls
+# cost more than the cos and sin they save
 _GRID = 8
 _GRID_SLACK = 1 << 18
 _BLOCK = 1 << 14
+_SIEVE = 1 << 13
 # Euler-Maclaurin sizing (_em_size): the truncation bound must lie below
 # _FLOOR times a rounding floor; B_(2 _NB_MAX + 2) = B_60 is the last
 # tabulated Bernoulli number; N starts at _N_MIN
@@ -101,7 +108,8 @@ def _smul(A, B):
 def _shift_mul(p, v):
     """p(e) * (v + e) for series p with orders on axis 0."""
     out = p * v
-    out[1:] += p[:-1]
+    if len(p) > 1:
+        out[1:] += p[:-1]
     return out
 
 
@@ -251,6 +259,62 @@ def _grid_groups(sig, t, terms):
                rows, isig[rows] - k * _GRID, ip[rows] - tb[k])
 
 
+@functools.lru_cache(maxsize=32)
+def _sieve_plan(q, cls, size):
+    """The terms n = q k + c, k < size, c in cls, by levels of their prime
+    factors: level 0 holds n = 1 and the primes, level L the n with L + 1
+    prime factors, counted with multiplicity.  Each level is (nat, n, ip,
+    im): its terms in increasing order, their positions nat among all the
+    terms in increasing order and, from level 1 on, for each n the index
+    ip of its least prime factor p in level 0 and the index im of n / p in
+    level L - 1.  The terms of L(s, chi) mod q are the n prime to q, so p
+    and n / p are terms too.  A call takes the plan of the least power of
+    two size >= N and slices it (_sieve_rows), so a run builds a handful.
+    """
+    top = q * size
+    n = np.arange(top + 1)
+    term = np.isin(n % q, [c % q for c in cls])
+    term[0] = False
+    # least prime factors: a composite p writes only multiples of a smaller
+    # prime, which writes after it
+    spf = n.copy()
+    for p in range(math.isqrt(top), 1, -1):
+        spf[p * p :: p] = p
+    # Omega(n): divide each n by its least prime factor until it is 1
+    om = np.zeros(top + 1, dtype=int)
+    r = n[1:].copy()
+    while (r > 1).any():
+        om[1:] += r > 1
+        r //= spf[r]
+    level = np.maximum(om - 1, 0)
+    nat = np.cumsum(term) - 1
+    plan = []
+    for L in range(level[term].max() + 1):
+        nv = np.flatnonzero(term & (level == L))
+        if L == 0:
+            plan.append((nat[nv], nv, None, None))
+        else:
+            p = spf[nv]
+            plan.append((nat[nv], nv, np.searchsorted(plan[0][1], p),
+                         np.searchsorted(plan[L - 1][1], nv // p)))
+    return plan
+
+
+def _sieve_rows(plan, top):
+    """(order, steps, nd) for the terms n <= top of a _sieve_plan: order
+    lists their positions level by level, nd is the size of level 0, and
+    each step (lo, hi, ip, im) builds rows lo:hi of that order as the
+    products of rows ip and im."""
+    order, steps, lo, prev = [], [], 0, 0
+    for nat, nv, ip, im in plan:
+        k = np.searchsorted(nv, top, "right")
+        order.append(nat[:k])
+        if ip is not None and k:
+            steps.append((lo, lo + k, ip[:k], prev + im[:k]))
+        prev, lo = lo, lo + k
+    return np.concatenate(order), steps, len(order[0])
+
+
 def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     """Euler-Maclaurin zeta(s + e, a), or L(s + e, chi) when a is a
     Dirichlet character, as a power series in e over an array of points.
@@ -270,12 +334,19 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     |q^-(s+e)| <= q^(_R - sigma), over _R^j.  N and the number nb of
     Bernoulli terms come from the error target (_em_size).  The main sum
     runs group by group (_grid_groups) over the grid of the group's
-    distinct heights x abscissae: per column block of B terms, one matrix
-    product of cos(t log n) and sin(t log n) against the columns n^-sigma
-    P[n] of every abscissa, and n^-sigma |P[n]| for the rounding mass; each
-    point reads its (height, abscissa) entry.  Sums run in another order
-    than point by point, so entries agree with one-point calls within
-    their bounds, not to the bit.  With subtract_pole each tail loses 1 /
+    distinct heights x abscissae: per block of H heights, one matrix
+    product of the table E of n^-it, every term by those heights, against
+    the columns n^-sigma P[n] of every abscissa, and n^-sigma |P[n]| for
+    the rounding mass; each point reads its (height, abscissa) entry.  For
+    zeta and L(s, chi), a table of at least _SIEVE entries takes cos and
+    sin only at n = 1 and the primes and builds every other n, level by
+    level, as the product of its least prime factor's entry and its
+    cofactor's (_sieve_rows); a term of k prime factors carries k - 1 more
+    complex products, within 2 _EPS each, while its phase error stays eps t
+    log n, since the primes' phases add up to it.  A Hurwitz shift a < 1
+    takes cos and sin at every term.  Sums run in another order than point
+    by point, so entries agree with one-point calls within their bounds,
+    not to the bit.  With subtract_pole each tail loses 1 /
     (q (s - 1 + e)), so the series is zeta(s, a) - 1/(s - 1), or L(s, chi)
     itself for a non-principal chi, entire at s = 1.
     """
@@ -294,27 +365,57 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     aP = np.abs(P)
     C = np.empty((n, S.size), dtype=complex)
     mass = np.empty((n, S.size))
+    # the product levels behind each point's table entries, and the sieve
+    # of the call's terms (_sieve_rows), made when a group first takes it
+    lev = np.zeros(S.size)
+    sieve = None
     # left of the strip n^-sigma may overflow; the gate refuses what it gives
     with np.errstate(over="ignore", invalid="ignore"):
         for usig, ut, rows, js, jt in _grid_groups(sig, t, logs.size):
-            # sum_n cos(t log n) and sin(t log n) times n^-sigma P[n] over
-            # heights x (abscissa, order), one product per block of B terms,
-            # and n^-sigma |P[n]| per abscissa; B keeps each table within
-            # _BLOCK entries
+            order, steps, nd = slice(None), (), logs.size
+            # the terms are integers, to be sieved, for zeta(s, 1) and L(s, chi)
+            if ut.size * logs.size >= _SIEVE and cls[0] == 1:
+                if sieve is None:
+                    sieve = _sieve_rows(_sieve_plan(q, cls, 1 << (N - 1).bit_length()),
+                                        q * (N - 1) + cls[-1])
+                order, steps, nd = sieve
+                lev[rows] = len(steps)
+            lg, Pg, aPg = logs[order], P[:, order], aP[:, order]
+            # sum_n n^-it n^-sigma P[n] over heights x (abscissa, order),
+            # one product per block of H heights against the weighted
+            # columns W, and n^-sigma |P[n]| per abscissa; the table E
+            # holds at most _BLOCK entries, its first nd rows from cos and
+            # sin, the others one product level each.  Along memory, cos
+            # and sin run up to twice as fast where the phases move slowly:
+            # over the heights of a contour's sieved table, over the terms
+            # of a few scattered points
             ns = usig.size * n
-            B = max(16, _BLOCK // max(2 * ut.size, ns))
-            grid = np.zeros((2 * ut.size, ns), dtype=P.dtype)
-            m = np.zeros((usig.size, n))
-            for i0 in range(0, logs.size, B):
-                blk = logs[i0 : i0 + B]
-                emod = np.exp(-np.multiply.outer(usig, blk))
-                ph = np.multiply.outer(ut, blk)
-                A = (emod[:, None] * P[:, i0 : i0 + B]).reshape(ns, blk.size).T
-                grid += np.concatenate([np.cos(ph), np.sin(ph)]) @ A
-                m += emod @ aP[:, i0 : i0 + B].T
-            re, im = grid.reshape(2, ut.size, usig.size, n)[:, jt, js]
-            C[:, rows] = (re - 1j * im).T
-            mass[:, rows] = m[js].T
+            emod = np.exp(-np.multiply.outer(usig, lg))
+            W = (emod[:, None] * Pg).reshape(ns, lg.size)
+            mass[:, rows] = (emod @ aPg.T)[js].T
+            H = max(1, _BLOCK // lg.size)
+            buf = np.empty(min(H, ut.size) * lg.size, dtype=complex)
+            parts = []
+            for h0 in range(0, ut.size, H):
+                u = -ut[h0 : h0 + H]
+                E = buf[: lg.size * u.size].reshape(lg.size, u.size)
+                Ev = E.view(float)
+                if steps:
+                    ph = np.multiply.outer(lg[:nd], u)
+                    np.cos(ph, out=Ev[:nd, 0::2])
+                    np.sin(ph, out=Ev[:nd, 1::2])
+                else:
+                    ph = np.multiply.outer(u, lg)
+                    Ev[:, 0::2] = np.cos(ph).T
+                    Ev[:, 1::2] = np.sin(ph).T
+                for lo, hi, ip, im in steps:
+                    np.multiply(E[ip], E[im], out=E[lo:hi])
+                parts.append(W @ Ev)
+            grid = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            # W @ Ev holds each sum's real and imaginary parts side by side,
+            # so its complex view is the sum when W is real
+            vals = grid.view(complex) if grid.dtype == float else grid[:, ::2] + 1j * grid[:, 1::2]
+            C[:, rows] = vals.reshape(usig.size, n, ut.size)[js, :, jt].T
     # per class, as columns against the points: x = N + c / q, L = log M,
     # ep[j] = (-L)^j / j! and log x
     x = [N + c / q for c in cls]
@@ -327,26 +428,30 @@ def _hurwitz_batch(S, a=1.0, lmax=0, subtract_pole=False):
     # M^-(s+e) x^-k over odd k < 2 nb, summed as M^-(s+e) Q(e) by Horner's
     # rule over the factors V[k] = s + k; AQ carries the absolute masses and
     # poch the product of |s + k| + _R over k <= 2 nb, the Pochhammer factor
-    # of the truncation bound
+    # of the truncation bound; row k // 2 of b holds B_(k+1) / (k+1)! x^-k
+    # for odd k, one column per class, built once
     V = S + np.arange(2 * nb + 1)[:, None]
     aV = np.abs(V)
     poch = aV[2 * nb] + _R
+    b = np.array([[_BFLOAT[k + 1] / math.factorial(k + 1) * xc ** -k for xc in x]
+                  for k in range(1, 2 * nb, 2)])[:, :, None]
+    ab = np.abs(b)
     Q = np.zeros((n, len(cls), S.size), dtype=complex)
     AQ = np.zeros(Q.shape)
     for k in range(2 * nb - 1, -1, -1):
         poch *= aV[k] + _R
         Q, AQ = _shift_mul(Q, V[k]), _shift_mul(AQ, aV[k])
         if k % 2:
-            b = [_BFLOAT[k + 1] / math.factorial(k + 1) * xc ** -k for xc in x]
-            Q[0] += np.array(b)[:, None]
-            AQ[0] += np.abs(b)[:, None]
+            Q[0] += b[k // 2]
+            AQ[0] += ab[k // 2]
     Q[0] += 0.5
     AQ[0] += 0.5
     X = np.exp(-S * np.array(Ls)[:, None]) * w
     C += (tail * (w / q)).sum(axis=1) + (X * _smul(Q, ep)).sum(axis=1)
     # rounding: every term carries a few ulps, the j-th log power j more,
-    # and the exponent rounds at ~ eps |s log n| <= eps |s| max L
-    per_term = _EPS * (4.0 + np.arange(n)[:, None] + np.abs(S) * max(Ls))
+    # a sieved one 2 per product level, and the exponent rounds at ~ eps
+    # |s log n| <= eps |s| max L
+    per_term = _EPS * (4.0 + np.arange(n)[:, None] + 2 * lev + np.abs(S) * max(Ls))
     rnd = per_term * (mass + (tail_mass * np.abs(w / q)).sum(axis=1)
                       + (np.abs(X) * _smul(AQ, np.abs(ep))).sum(axis=1))
     # truncation: per class the first dropped Bernoulli term, inflated by

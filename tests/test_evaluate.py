@@ -448,10 +448,10 @@ def test_em_bounds_high(s, a):
 # zeta bands near t = 1900 share their abscissae and, edge by edge, their
 # heights, and the main sum takes each batch as one grid of its distinct
 # heights x abscissae.  Three bands make a small grid, and every entry must
-# match a one-point call; ninety bands make one that spans several column
-# blocks of terms, and the entries at the lowest and highest height of
-# every abscissa, the grid's edges, must.  A few entries of each are
-# checked against mpmath
+# match a one-point call; ninety bands make one whose sieved tables span
+# several blocks of heights, and the entries at the lowest and highest
+# height of every abscissa, the grid's edges, must.  A few entries of each
+# are checked against mpmath
 @pytest.mark.parametrize("lmax", [0, 2])
 def test_em_contour_batch(lmax):
     for nbands in (3, 90):
@@ -469,7 +469,7 @@ def test_em_contour_batch(lmax):
         if nbands == 3:
             check = range(S.size)
         else:
-            assert N > 2 * max(16, ev._BLOCK // max(2 * ut.size, usig.size * (lmax + 1)))
+            assert ut.size * N >= ev._SIEVE and ut.size > 2 * max(1, ev._BLOCK // N)
             check = {i for x in S.real for i in np.flatnonzero(S.real == x)[[0, -1]]}
         for i in check:
             C1, trunc1, rnd1 = ev._hurwitz_batch(S[i : i + 1], 1.0, lmax)
@@ -514,6 +514,61 @@ def test_em_scattered_batch(name, lmax, monkeypatch):
         for i in np.argsort(S.imag)[[0, 133, 266, 399]]:
             refs = _mp_derivatives(chi, S[i], lmax)
             for l, ref in enumerate(refs):
+                want = ref / math.factorial(l)
+                assert abs(C[l, i] - want) <= trunc[l, i] + rnd[l, i], (S[i], l)
+
+
+# the sieve of the main sum's terms n = q k + c prime to q: level by level,
+# every n is its least prime factor, in level 0, times a cofactor built at
+# the level before, and level 0 is n = 1 and the primes among the terms;
+# N past a power of two takes the next plan, N below it a prefix of one
+@pytest.mark.parametrize("q", [1, 3, 4, 5, 8, 12])
+def test_sieve_plan(q):
+    _, cls, _ = ev._classes(chars.character(q, 0))
+    for N in (4, 37, 64, 65, 300):
+        terms = (q * np.arange(N)[:, None] + np.array(cls)).ravel()
+        plan = ev._sieve_plan(q, cls, 1 << (N - 1).bit_length())
+        order, steps, nd = ev._sieve_rows(plan, terms[-1])
+        assert np.array_equal(np.sort(order), np.arange(terms.size))
+        n = terms[order]
+        primes = [m for m in terms if m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))]
+        assert list(n[:nd]) == [1] + primes
+        built = nd
+        for lo, hi, ip, im in steps:
+            assert lo == built and hi > lo
+            assert np.array_equal(n[lo:hi], n[ip] * n[im])
+            assert (ip < nd).all() and (n[ip] > 1).all() and (im < lo).all()
+            built = hi
+        assert built == terms.size
+
+
+# sieved tables at height: one batch of 4 abscissae x 64 distinct heights
+# in [1000, 10^4] for zeta, chi_4 and a complex character mod 5.  Every
+# entry matches the same batch with direct tables within both bounds, whose
+# rounding bound lies 2 _EPS per product level below the sieved one's; the
+# lowest height (and at lmax 0 for zeta the highest) matches mpmath
+@pytest.mark.parametrize("name, lmax", [("zeta", 0), ("zeta", 3), ("chi4", 2), ("chi5", 1)])
+def test_sieved_batch_oracle(name, lmax, monkeypatch):
+    chi = _CHI5 if name == "chi5" else _ORACLE_CHARS[name]
+    a = chars.character(1, 0) if chi is None else chi
+    rng = np.random.default_rng(27)
+    S = (rng.uniform(-1, 3, 4)[:, None] + 1j * rng.uniform(1000, 1e4, 64)).ravel()
+    C, trunc, rnd = ev._hurwitz_batch(S, a, lmax)
+    q, cls, _ = ev._classes(a)
+    N, _ = ev._em_size(S.real.min(), np.abs(S).max(), np.abs(S.imag).max(), a, lmax, S.size)
+    top = q * (N - 1) + cls[-1]
+    levels = len(ev._sieve_rows(ev._sieve_plan(q, cls, 1 << (N - 1).bit_length()), top)[1])
+    assert 64 * N * len(cls) >= ev._SIEVE and levels >= 7
+    monkeypatch.setattr(ev, "_SIEVE", math.inf)
+    C1, trunc1, rnd1 = ev._hurwitz_batch(S, a, lmax)
+    assert np.array_equal(trunc, trunc1)
+    assert (np.abs(C - C1) <= rnd + rnd1).all()
+    # direct: _EPS (4 + j + |s| log M) per unit of mass, with max M = top + q
+    per_term = 4 + np.arange(lmax + 1)[:, None] + np.abs(S) * math.log(top + q)
+    assert (rnd - rnd1 >= levels * rnd1 / per_term).all()
+    with mp.workdps(30):
+        for i in np.argsort(S.imag)[[0, -1] if name == "zeta" and lmax == 0 else [0]]:
+            for l, ref in enumerate(_mp_derivatives(chi, S[i], lmax)):
                 want = ref / math.factorial(l)
                 assert abs(C[l, i] - want) <= trunc[l, i] + rnd[l, i], (S[i], l)
 
