@@ -27,7 +27,7 @@ complex product of its least prime factor's entry and its cofactor's.
 The reflection factor's log Gamma is Stirling's series after a shift to
 Re >= 8, as a power series too (_loggamma); numpy is the only dependency.
 One truncated series product over the monomials (_sum_monomials) gives
-expression values, F' for Newton, the pole order, and both sides of the
+expression values, F'/F for Newton, the pole order, and both sides of the
 reflection checks, F(1 - s, dual) and its main term, from one reflected
 table per L-function (asymptotic_fe_main).
 """
@@ -506,12 +506,13 @@ def dirichlet_l(s, chi, err=1e-10):
     """
     _check_target(err)
     S = np.array([s], dtype=complex)
+    G = np.zeros(1)
     if chi.is_primitive:
-        v, b = lfunc_values(dirichlet_descriptor(chi), S)
+        C, G, trunc, rnd = _lfunc_taylor(dirichlet_descriptor(chi), S, 0)
     else:
         C, trunc, rnd = _hurwitz_batch(S, chi, 0, not chi.is_principal)
-        v, b = C[0], trunc[0] + rnd[0]
-    return _certified(v[0], b[0], err, s)
+    scale = np.exp(G[0])
+    return _certified(C[0, 0] * scale, (trunc[0, 0] + rnd[0, 0]) * scale, err, s)
 
 
 def _loggamma(z, n):
@@ -681,13 +682,6 @@ def _lfunc_taylor(desc, S, lmax):
     return C, G, trunc, rnd
 
 
-def lfunc_values(desc: LFunctionDescriptor, S):
-    """Values of L(s, pi) over an array of points, with absolute error bounds."""
-    C, G, trunc, rnd = _lfunc_taylor(desc, S, 0)
-    scale = np.exp(G)
-    return C[0] * scale, (trunc[0] + rnd[0]) * scale
-
-
 def _gate(C, trunc, rnd, S, rel_tol):
     """Raise AccuracyUnreachable where a Taylor table's truncation bound
     exceeds rel_tol times its entry's magnitude plus its rounding bound, or
@@ -807,10 +801,11 @@ def eval_F_with_prime(F, s, rel_tol=1e-9):
     return complex(u[0, 0] * scale), complex(u[1, 0] * scale)
 
 
-def eval_F_scaled_batch(F, S, rel_tol=1e-9):
-    """(u, g) with F(s) = u exp(g), usable arbitrarily far left of the strip."""
-    u, g, _ = _F_scaled(F, S, rel_tol)
-    return u[0], g
+def eval_F_scaled_batch(F, S, rel_tol=1e-9, prime=False):
+    """(u, g) with F(s) = u exp(g), usable arbitrarily far left of the strip;
+    with prime, (u, g, d) with d = F'(s) / F(s), in which g cancels."""
+    u, g, _ = _F_scaled(F, S, rel_tol, 1 + prime)
+    return (u[0], g, u[1] / u[0]) if prime else (u[0], g)
 
 
 # --- functional-equation pieces ------------------------------------------

@@ -4,6 +4,8 @@ Windings of rectangles from the phase changes along their distinct edges,
 each refined once however many rectangles share it (_wind), zeros by
 Newton from the contour's moments with quadrisection as the fallback,
 zero-free strip bounds E1/E2, and banded nontrivial-zero counting.
+Every F value comes from eval_F_scaled_batch as u e^g: contours take u
+and g, Newton steps on d = F'/F, and residuals are |u| e^g.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from .errors import (
     PhaseUnresolved,
 )
 from . import expr as _expr
-from .evaluate import (
-    _reflection_region,
-    asymptotic_fe_ratio,
-    eval_F,
-    eval_F_scaled_batch,
-    eval_F_with_prime,
-)
+from .evaluate import _reflection_region, asymptotic_fe_ratio, eval_F_scaled_batch
 
 log = logging.getLogger(__name__)
 
@@ -341,17 +337,18 @@ def _wind_block(F, strip, ys, done, moments):
 
 
 def _newton(F, z0, box):
-    """(zero, steps) of Newton's method from z0; the zero is None when z0
-    or a step lies outside box by more than its diameter, or the steps run
-    out."""
+    """(zero, steps) of Newton's method from z0, stepping by 1/d with d =
+    F'/F, in which e^g cancels, so it works where F overflows a double;
+    the zero is None when z0 or a step lies outside box by more than its
+    diameter, or the steps run out."""
     if not box.contains(z0, margin=box.diameter):
         return None, 0
     z = z0
     for n in range(1, _NEWTON_ITERS + 1):
-        f, fp = eval_F_with_prime(F, z, _NEWTON_TOL)
-        if fp == 0:
+        _, _, d = eval_F_scaled_batch(F, np.array([z]), _NEWTON_TOL, prime=True)
+        if d[0] == 0:
             return None, n
-        step = f / fp
+        step = 1 / complex(d[0])
         z = z - step
         if not box.contains(z, margin=box.diameter):
             return None, n
@@ -399,15 +396,15 @@ def _polish(F, rect, starts):
                 or any(abs(z - y) < _SAME_ZERO for _, y, _ in found)):
             return None
         found.append((z0, z, steps))
-    out = []
-    for z0, z, steps in found:
-        res = abs(eval_F(F, z, rel_tol=_NEWTON_TOL))
-        out.append(_record(z, 1, res, rect, "newton", z0, steps))
-    return out
+    return [_record(F, z, 1, rect, "newton", z0, steps) for z0, z, steps in found]
 
 
-def _record(z, multiplicity, residual, rect, method, start, steps):
-    """ZeroRecord, logged with how it was found."""
+def _record(F, z, multiplicity, rect, method, start, steps):
+    """ZeroRecord, its residual |F(z)| taken as |u| e^g (inf where that
+    overflows a double), logged with how it was found."""
+    u, g = eval_F_scaled_batch(F, np.array([z]), _NEWTON_TOL)
+    with np.errstate(over="ignore"):
+        residual = abs(complex(u[0])) * float(np.exp(g[0]))
     log.debug("zero %r, multiplicity %d: %s from start %r, %d Newton steps, "
               "residual %.3g", z, multiplicity, method, start, steps, residual)
     return ZeroRecord(z, multiplicity, residual, rect, method)
@@ -468,8 +465,7 @@ def _locate_rec(F, rect, n, s, out, depth):
         return
     if rect.diameter < _ISOLATION_TOL:
         z = rect.center
-        out.append(_record(z, n, abs(eval_F(F, z)), rect, "bisection-only",
-                           None, 0))
+        out.append(_record(F, z, n, rect, "bisection-only", None, 0))
         return
     if depth > 60:
         raise NonConvergence("subdivision depth exhausted", box=rect)
@@ -534,8 +530,8 @@ def zero_free_bounds(F) -> StripBounds:
     if E1 is None:
         E1 = default_E1
         method = "default"
-    log.debug("strip bounds: E1 = %g (%s), E2 = %g; scan %d F points, %.3f s",
-              E1, method, E2, tally["points"], time.perf_counter() - t0)
+    log.info("strip bounds: E1 = %g (%s), E2 = %g; scan %d F points, %.3f s",
+             E1, method, E2, tally["points"], time.perf_counter() - t0)
     return StripBounds(E1=E1, E2=float(E2), E2certified=True, E1method=method)
 
 

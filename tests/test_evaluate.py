@@ -113,7 +113,9 @@ def test_non_finite_values_fail(chi4):
         with pytest.raises(AccuracyUnreachable):
             ev.hurwitz_zeta(600.0, 0.25)
         for chi, s in ((chi4, 513.0), (_CHI5, 600.0)):
-            v, b = ev.lfunc_values(dirichlet_descriptor(chi), np.array([s]))
+            C, G, trunc, rnd = ev._lfunc_taylor(dirichlet_descriptor(chi),
+                                                np.array([s]), 0)
+            v, b = C[0] * np.exp(G), (trunc[0] + rnd[0]) * np.exp(G)
             ref = mp.dirichlet(s, [chi(k) for k in range(chi.modulus)])
             assert np.isfinite(v[0]) and abs(mp.mpc(v[0]) - ref) <= b[0], chi
             assert ev.dirichlet_l(s, chi) == v[0]
@@ -198,9 +200,10 @@ def _mp_l_chi4(z):
     return mp.power(4, -z) * (mp.zeta(z, mp.mpf(1) / 4) - mp.zeta(z, mp.mpf(3) / 4))
 
 
-# F and F' from one series product against mpmath's diff: a sum of
-# monomials, two different L-functions in one monomial, and a squared factor
-# far left, where the tables carry g != 0
+# F and F' from one series product against mpmath's diff, and the scaled
+# evaluator's u e^g and d = F'/F: a sum of monomials, two different
+# L-functions in one monomial, and a squared factor far left, where the
+# tables carry g != 0
 def test_eval_F_with_prime_consistency(l_chi4):
     dz = lambda z, k=1: mp.zeta(z, 1, k)
     cases = [
@@ -214,7 +217,11 @@ def test_eval_F_with_prime_consistency(l_chi4):
     for F, f, s in cases:
         v, vp = ev.eval_F_with_prime(F, s)
         z = mp.mpc(s)
-        for got, ref in ((v, complex(f(z))), (vp, complex(mp.diff(f, z)))):
+        fz, fpz = f(z), mp.diff(f, z)
+        u, g, d = ev.eval_F_scaled_batch(F, np.array([s]), prime=True)
+        for got, ref in ((v, fz), (vp, fpz), (u[0] * math.exp(g[0]), fz),
+                         (d[0], fpz / fz)):
+            ref = complex(ref)
             assert abs(got - ref) < 1e-8 * abs(ref), (s, got, ref)
         assert abs(v - ev.eval_F(F, s)) < 1e-9 * abs(v), s
 

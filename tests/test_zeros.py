@@ -213,11 +213,46 @@ def _count_calls(monkeypatch, name):
 
 def test_newton_steps_per_zero(zeta_prime, monkeypatch):
     # Newton starts from the band's first moment, a few steps from each
-    # zero; started from the band's centre it took about 16.5 steps
-    calls = _count_calls(monkeypatch, "eval_F_with_prime")
+    # zero, each step one call with prime; started from the band's centre
+    # it took about 16.5 steps.  Every F evaluation of the zero engine,
+    # steps and residuals too, comes through Z.eval_F_scaled_batch; the
+    # strip and profile, built here first, evaluate F their own ways
+    zeta_prime.strip, zeta_prime.profile
+    real, real_F = Z.eval_F_scaled_batch, ev._F_scaled
+    steps, inside, outside = [], [], []
+
+    def counted(*args, **kw):
+        if kw.get("prime"):
+            steps.append(args)
+        inside.append(args)
+        try:
+            return real(*args, **kw)
+        finally:
+            inside.pop()
+
+    def checked(*args):
+        if not inside:
+            outside.append(args)
+        return real_F(*args)
+
+    monkeypatch.setattr(Z, "eval_F_scaled_batch", counted)
+    monkeypatch.setattr(ev, "_F_scaled", checked)
     zs = A.zero_list(zeta_prime, 14, 80)
     assert len(zs) == 13 and all(z.method == "newton" for z in zs)
-    assert len(calls) <= 4 * len(zs)
+    assert outside == []
+    assert len(zs) <= len(steps) <= 4 * len(zs)
+
+
+def test_locate_far_left(zeta_prime):
+    # a real zero of zeta' between two trivial zeros of zeta far left,
+    # where |zeta'| overflows a double: Newton steps by F'/F, in which the
+    # scale e^g cancels, so the box the contour winds to 1 yields its zero.
+    # Reference (12 s of mpmath): mp.dps = 30; mp.findroot(lambda s:
+    # mp.zeta(s, 1, 1) / mp.zeta(s), -273.749).  The residual may be inf.
+    rect = Z.Rectangle(-274.25, -273.25, -0.25, 0.25)
+    [z] = Z.locate_zeros(zeta_prime, rect)
+    assert (z.method, z.multiplicity) == ("newton", 1)
+    assert abs(z.rho - -273.749042281998940) < 1e-10
 
 
 def test_locate_pencil_two_zeros(zeta_expr, monkeypatch):
