@@ -45,15 +45,14 @@ def verify_count(F, T, seed=0) -> CountReport:
 
 
 def zero_list(F, T1, T2, seed=0):
-    """Located zeros with T1 < gamma < T2, band by band, sorted by height.
+    """Located zeros with T1 < gamma < T2, sorted by height.
 
-    Bands are wound in blocks, as in count_nontrivial, and zeros are
-    isolated in each band as it comes; seed jitters the band edges.
+    Bands are wound in blocks, as in count_nontrivial, and the zeros of
+    all of them located in one call; seed jitters the band edges.
     """
-    out = [z for wound in _zeros._wound_bands(F, T1, T2, F.strip, seed, moments=True)
-           for z in _zeros.locate_zeros(F, wound[1], wound) if T1 < z.gamma < T2]
-    out.sort(key=lambda z: (z.gamma, z.beta))
-    return out
+    wound = list(_zeros._wound_bands(F, T1, T2, F.strip, seed, moments=True))
+    window = _zeros.Rectangle(F.strip.E1, F.strip.E2, T1, T2)
+    return [z for z in _zeros.locate_zeros(F, window, wound) if T1 < z.gamma < T2]
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Argument-principle zero machinery.
 
 Windings of rectangles from the phase changes along their distinct edges,
-each refined once however many rectangles share it (_wind), zeros by
-Newton from the contour's moments with quadrisection as the fallback,
+each refined once however many rectangles share it (_wind), zeros in
+rounds of boxes, each round one lockstep Newton from the contour's
+moments over every open box, with quadrisection as the fallback,
 zero-free strip bounds E1/E2, and banded nontrivial-zero counting.
 Every F value comes from eval_F_scaled_batch as u e^g: contours take u
 and g, Newton steps on d = F'/F, and residuals are |u| e^g.
@@ -16,6 +17,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -336,25 +338,37 @@ def _wind_block(F, strip, ys, done, moments):
     return out
 
 
-def _newton(F, z0, box):
-    """(zero, steps) of Newton's method from z0, stepping by 1/d with d =
-    F'/F, in which e^g cancels, so it works where F overflows a double;
-    the zero is None when z0 or a step lies outside box by more than its
-    diameter, or the steps run out."""
-    if not box.contains(z0, margin=box.diameter):
-        return None, 0
-    z = z0
+def _newton(F, starts):
+    """(zero, steps) per (start, box) of starts: Newton's method in
+    lockstep, one evaluation per round over the unfinished iterates, each
+    stepping by 1/d with d = F'/F, in which e^g cancels, so it works where
+    F overflows a double.  The zero is None when d is 0, when the start or
+    a step lies outside its box by more than its diameter, or when the
+    steps run out."""
+    out = [(None, 0)] * len(starts)
+    live = {i: z0 for i, (z0, box) in enumerate(starts)
+            if box.contains(z0, margin=box.diameter)}
     for n in range(1, _NEWTON_ITERS + 1):
-        _, _, d = eval_F_scaled_batch(F, np.array([z]), _NEWTON_TOL, prime=True)
-        if d[0] == 0:
-            return None, n
-        step = 1 / complex(d[0])
-        z = z - step
-        if not box.contains(z, margin=box.diameter):
-            return None, n
-        if abs(step) < 1e-13 * (1 + abs(z)):
-            return z, n
-    return None, _NEWTON_ITERS
+        if not live:
+            break
+        _, _, d = eval_F_scaled_batch(F, np.array(list(live.values())),
+                                      _NEWTON_TOL, prime=True)
+        stepped = {}
+        for (i, z), di in zip(live.items(), d):
+            out[i] = None, n
+            box = starts[i][1]
+            if di == 0:
+                continue
+            step = 1 / complex(di)
+            z = z - step
+            if not box.contains(z, margin=box.diameter):
+                continue
+            if abs(step) < 1e-13 * (1 + abs(z)):
+                out[i] = z, n
+            else:
+                stepped[i] = z
+        live = stepped
+    return out
 
 
 def _starts(rect, s):
@@ -365,8 +379,9 @@ def _starts(rect, s):
 
     Contour values differ in their last bits with the batch a band is
     wound in, so each eigenvalue is rounded to a multiple of
-    1 / _START_GRID: the starts, and so the zeros, do not depend on how
-    bands are grouped into blocks.
+    1 / _START_GRID: the starts do not depend on how bands are grouped
+    into blocks.  Newton's batch is every start of a round, so a zero may
+    still move in its last bits with the window it is located in.
     """
     n = len(s) // 2
     if n == 1:
@@ -384,32 +399,6 @@ def _starts(rect, s):
     return [rect.center + rect.diameter / 2 * complex(x) for x in lam]
 
 
-def _polish(F, rect, starts):
-    """One "newton" record per start, or None unless Newton takes the
-    starts to that many distinct zeros, all inside rect."""
-    if starts is None:
-        return None
-    found = []
-    for z0 in starts:
-        z, steps = _newton(F, z0, rect)
-        if (z is None or not rect.contains(z, margin=1e-9)
-                or any(abs(z - y) < _SAME_ZERO for _, y, _ in found)):
-            return None
-        found.append((z0, z, steps))
-    return [_record(F, z, 1, rect, "newton", z0, steps) for z0, z, steps in found]
-
-
-def _record(F, z, multiplicity, rect, method, start, steps):
-    """ZeroRecord, its residual |F(z)| taken as |u| e^g (inf where that
-    overflows a double), logged with how it was found."""
-    u, g = eval_F_scaled_batch(F, np.array([z]), _NEWTON_TOL)
-    with np.errstate(over="ignore"):
-        residual = abs(complex(u[0])) * float(np.exp(g[0]))
-    log.debug("zero %r, multiplicity %d: %s from start %r, %d Newton steps, "
-              "residual %.3g", z, multiplicity, method, start, steps, residual)
-    return ZeroRecord(z, multiplicity, residual, rect, method)
-
-
 def _quadrisect(F, rect):
     """The four quarters of rect, wound with moments (_wind).  Its two cut
     lines, each shared by the quarters on either side, move when they
@@ -423,23 +412,61 @@ def _quadrisect(F, rect):
 
 def locate_zeros(F, rect: Rectangle, wound=None):
     """Zeros of F inside rect, isolated by the contour's moments and
-    Newton-polished.
+    Newton-polished, in rounds of boxes.
 
-    The winding of a box brings its zero count n and the moments of its
-    zeros (_zero_moments); Newton runs from each eigenvalue of their Hankel
-    pencil (_starts).  A box that yields n distinct zeros inside it is
-    done; any other is quadrisected, each quarter with its own moments,
-    until it shrinks below _ISOLATION_TOL, so clustered zeros surface as
-    one record with multiplicity.  wound is rect's ((n, s), rectangle used)
-    when already wound with moments, as _wind gives it; else rect is wound
-    here, its sides free to move (_wind), and the zeros are those inside
-    the rectangle used.
+    wound holds the ((n, s), rectangle used) of the boxes that tile rect,
+    wound with moments as _wind gives them; when None, rect is wound here,
+    its sides free to move, and the zeros are those inside the rectangle
+    used.  A box's n zeros and their moments s (_zero_moments) give its
+    Newton starts (_starts), and each round runs the starts of every open
+    box in one lockstep Newton (_newton).  A box whose starts reach n
+    distinct zeros inside it is done; any other is quadrisected, its
+    quarters, each with its own moments, open in the next round, until it
+    shrinks below _ISOLATION_TOL, so clustered zeros surface as one record
+    with multiplicity.  The residuals |u| e^g (inf where that overflows a
+    double) come from one evaluation at the end.
     """
     if wound is None:
-        [wound] = _first_error(_wind_each(F, [rect], moments=True))
-    (n, s), rect = wound
+        wound = _first_error(_wind_each(F, [rect], moments=True))
+    boxes = [(n, s, box, 0) for (n, s), box in wound if n > 0]
+    found = []  # (zero, multiplicity, box, method, start, Newton steps)
+    while boxes:
+        starts = [_starts(box, s) for _, s, box, _ in boxes]
+        polished = iter(_newton(F, [(z0, box) for st, (_, _, box, _)
+                                    in zip(starts, boxes) for z0 in st or ()]))
+        quarters = []
+        for st, (n, _, box, depth) in zip(starts, boxes):
+            got = [(z0, *next(polished)) for z0 in st or ()]
+            zs = [z for _, z, _ in got]
+            if (st is not None
+                    and all(z is not None and box.contains(z, margin=1e-9) for z in zs)
+                    and all(abs(a - b) >= _SAME_ZERO for a, b in combinations(zs, 2))):
+                found += [(z, 1, box, "newton", z0, steps) for z0, z, steps in got]
+            elif box.diameter < _ISOLATION_TOL:
+                found.append((box.center, n, box, "bisection-only", None, 0))
+            elif depth > 60:
+                raise NonConvergence("subdivision depth exhausted", box=box)
+            else:
+                try:
+                    subs = _first_error(_quadrisect(F, box))
+                except BoundaryTooClose:
+                    raise NonConvergence("no clean subdivision line", box=box)
+                lost = n - sum(sn for (sn, _), _ in subs)
+                if lost != 0:
+                    raise NonConvergence(
+                        f"subdivision lost {lost} of {n} zeros", box=box
+                    )
+                quarters += [(sn, ss, sub, depth + 1)
+                             for (sn, ss), sub in subs if sn > 0]
+        boxes = quarters
+    u, g = eval_F_scaled_batch(F, np.array([z for z, *_ in found]), _NEWTON_TOL)
     out = []
-    _locate_rec(F, rect, n, s, out, 0)
+    for (z, m, box, method, start, steps), ui, gi in zip(found, u, g):
+        with np.errstate(over="ignore"):
+            residual = abs(complex(ui)) * float(np.exp(gi))
+        log.debug("zero %r, multiplicity %d: %s from start %r, %d Newton steps, "
+                  "residual %.3g", z, m, method, start, steps, residual)
+        out.append(ZeroRecord(z, m, residual, box, method))
     out.sort(key=lambda z: (z.gamma, z.beta))
     # a multiple zero lying on a subdivision line can surface once per
     # adjacent box; records at the same point merge into one
@@ -452,36 +479,6 @@ def locate_zeros(F, rect: Rectangle, wound=None):
         else:
             merged.append(rec)
     return merged
-
-
-def _locate_rec(F, rect, n, s, out, depth):
-    """Records of the n zeros in rect, whose moments are s, into out:
-    Newton from the pencil's starts, else quadrisection."""
-    if n <= 0:
-        return
-    found = _polish(F, rect, _starts(rect, s))
-    if found is not None:
-        out.extend(found)
-        return
-    if rect.diameter < _ISOLATION_TOL:
-        z = rect.center
-        out.append(_record(F, z, n, rect, "bisection-only", None, 0))
-        return
-    if depth > 60:
-        raise NonConvergence("subdivision depth exhausted", box=rect)
-    try:
-        quarters = _first_error(_quadrisect(F, rect))
-    except BoundaryTooClose:
-        raise NonConvergence("no clean subdivision line", box=rect)
-    remaining = n
-    for (sn, ss), sub in quarters:
-        if sn > 0:
-            _locate_rec(F, sub, sn, ss, out, depth + 1)
-        remaining -= sn
-    if remaining != 0:
-        raise NonConvergence(
-            f"subdivision lost {remaining} of {n} zeros", box=rect
-        )
 
 
 # --- zero-free strip bounds ----------------------------------------------

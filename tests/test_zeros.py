@@ -145,26 +145,64 @@ def test_count_work_edges_once(zeta_expr, monkeypatch):
     assert sum(len(args[1]) for args in calls) <= 0.7 * 8661
 
 
-# the kernel sums each contour batch as one grid of its distinct heights x
-# abscissae: the band edges of a count, and the E1 scan, the band edges and
-# the Newton points of a zero search, repeat their heights and abscissae
-# enough that no batch splits
-def test_contour_batches_one_grid(zeta_expr, zeta_prime, monkeypatch):
-    shapes = []
-    real = ev._grid_groups
+def _record_groups(monkeypatch):
+    """(shapes, newton), filled from now on: per main sum of the kernel,
+    its points and the (abscissae, heights) of each of its groups
+    (ev._grid_groups); newton holds those of Newton's batches, the calls
+    of Z.eval_F_scaled_batch with prime."""
+    shapes, newton = [], []
+    real, real_ev = ev._grid_groups, Z.eval_F_scaled_batch
 
     def recorded(sig, t, terms):
         groups = list(real(sig, t, terms))
         shapes.append((sig.size, [(u.size, h.size) for u, h, *_ in groups]))
         return groups
 
+    def flagged(*args, prime=False, **kw):
+        first = len(shapes)
+        out = real_ev(*args, prime=prime, **kw)
+        if prime:
+            newton.extend(shapes[first:])
+        return out
+
     monkeypatch.setattr(ev, "_grid_groups", recorded)
+    monkeypatch.setattr(Z, "eval_F_scaled_batch", flagged)
+    return shapes, newton
+
+
+# the kernel sums each batch as one grid of its distinct heights x
+# abscissae: the band edges of a count, and the E1 scan and the band edges
+# of a zero search, repeat their heights and abscissae enough that no
+# batch splits.  A lockstep batch of k Newton points is a k x k grid; it
+# is one group while its cells beyond the points cost at most _GRID_SLACK
+# entries, and splits past that (test_locate_window_as_bands)
+def test_contour_batches_one_grid(zeta_expr, zeta_prime, monkeypatch):
+    shapes, newton = _record_groups(monkeypatch)
     Z.count_nontrivial(zeta_expr, 0, 200)
+    counted = len(shapes)
     A.zero_list(zeta_prime, 14, 40)
-    assert len(shapes) > 20 and max(n for n, _ in shapes) > 1000
+    assert counted > 5 and max(n for n, _ in shapes[:counted]) > 1000
+    assert len(shapes) - counted > 5 and max(n for n, _ in newton) > 1
     for n, groups in shapes:
         [(nsig, nt)] = groups
         assert nsig * nt <= ev._GRID * n
+
+
+def test_locate_window_as_bands(zeta_prime, monkeypatch):
+    # over 14 < gamma < 200 the first Newton round steps every zero of the
+    # window at once, a grid that _grid_groups splits into runs.  Each zero
+    # lies within its last bits of the zero that its band, located alone,
+    # gives
+    shapes, newton = _record_groups(monkeypatch)
+    zs = A.zero_list(zeta_prime, 14, 200)
+    assert any(len(groups) > 1 for _, groups in newton)
+    alone = [z for w in Z._wound_bands(zeta_prime, 14, 200, zeta_prime.strip, 0,
+                                       moments=True)
+             for z in Z.locate_zeros(zeta_prime, w[1], [w]) if 14 < z.gamma < 200]
+    assert len(zs) == len(alone) > 50
+    for z, y in zip(zs, alone):
+        assert abs(z.rho - y.rho) < 1e-13
+        assert (z.multiplicity, z.method) == (y.multiplicity, y.method)
 
 
 def test_band_blocks_size_invariant(zeta_expr, zeta_prime, monkeypatch):
@@ -213,17 +251,19 @@ def _count_calls(monkeypatch, name):
 
 def test_newton_steps_per_zero(zeta_prime, monkeypatch):
     # Newton starts from the band's first moment, a few steps from each
-    # zero, each step one call with prime; started from the band's centre
-    # it took about 16.5 steps.  Every F evaluation of the zero engine,
-    # steps and residuals too, comes through Z.eval_F_scaled_batch; the
-    # strip and profile, built here first, evaluate F their own ways
+    # zero; started from the band's centre it took about 16.5 steps.  Each
+    # round steps every unfinished iterate of the window in one call with
+    # prime, so the steps are the points of those calls, and the residuals
+    # come from one order-0 call after the last round.  Every F evaluation
+    # of the zero engine, steps and residuals too, comes through
+    # Z.eval_F_scaled_batch; the strip and profile, built here first,
+    # evaluate F their own ways
     zeta_prime.strip, zeta_prime.profile
     real, real_F = Z.eval_F_scaled_batch, ev._F_scaled
-    steps, inside, outside = [], [], []
+    calls, inside, outside = [], [], []
 
     def counted(*args, **kw):
-        if kw.get("prime"):
-            steps.append(args)
+        calls.append((kw.get("prime", False), args[2], len(args[1])))
         inside.append(args)
         try:
             return real(*args, **kw)
@@ -240,7 +280,12 @@ def test_newton_steps_per_zero(zeta_prime, monkeypatch):
     zs = A.zero_list(zeta_prime, 14, 80)
     assert len(zs) == 13 and all(z.method == "newton" for z in zs)
     assert outside == []
-    assert len(zs) <= len(steps) <= 4 * len(zs)
+    steps = [n for prime, _, n in calls if prime]
+    assert len(zs) <= sum(steps) <= 4 * len(zs)
+    assert len(steps) <= 6
+    residuals = [i for i, (prime, tol, _) in enumerate(calls)
+                 if not prime and tol == Z._NEWTON_TOL]
+    assert residuals == [len(calls) - 1]
 
 
 def test_locate_far_left(zeta_prime):
