@@ -1,5 +1,6 @@
 """Theorem-level verification: count reports, trivial-zero audits,
-reflection-formula checks, clustering statistics, and Littlewood sums."""
+reflection-formula checks, clustering statistics, and Littlewood sums.
+An audit's squares, one per distinct center -2n - mu, never overlap."""
 
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ def zero_list(F, T1, T2, seed=0):
     Bands are wound in blocks, as in count_nontrivial, and the zeros of
     all of them located in one call; seed jitters the band edges.
     """
-    wound = list(_zeros._wound_bands(F, T1, T2, F.strip, seed, moments=True))
+    wound = list(_zeros._wound_bands(F, T1, T2, seed, moments=True))
     window = _zeros.Rectangle(F.strip.E1, F.strip.E2, T1, T2)
     return [z for z in _zeros.locate_zeros(F, window, wound) if T1 < z.gamma < T2]
 
@@ -131,9 +132,9 @@ class DiskReport:
 
 
 def _disk_squares(F, epsilon, n):
-    """(centers, squares) of n: the points -2n - mu_r, and the covering
-    squares of side 2 epsilon around them, merged where their centers lie
-    closer than 2 epsilon so that shared zeros count once."""
+    """(centers, squares) of n: the distinct points -2n - mu_r, and the
+    covering squares of side 2 epsilon around them, sorted.  mu_r is 0 or
+    1, so distinct centers lie 1 apart and the squares never overlap."""
     centers = []
     for d in F.lfuncs.values():
         for mu in d.spectral_params:
@@ -143,7 +144,7 @@ def _disk_squares(F, epsilon, n):
     squares = [
         _zeros.Rectangle(c.real - epsilon, c.real + epsilon,
                          c.imag - epsilon, c.imag + epsilon)
-        for c in _merge_centers(centers, 2 * epsilon)
+        for c in sorted(centers, key=lambda z: (z.real, z.imag))
     ]
     return centers, squares
 
@@ -152,7 +153,7 @@ def _window_width(F, epsilon, n):
     """The n in one audit window: as many as fit in _zeros._BLOCK_POINTS
     initial edge samples, counted edge by edge as for a block of bands, and
     at least one."""
-    per_square = 4 * _zeros._edge_points(0.0, 2 * epsilon, _zeros._STEP0).size
+    per_square = 4 * _zeros._edge_points(0.0, 2 * epsilon).size
     per_n = per_square * len(_disk_squares(F, epsilon, n)[1])
     return max(1, _zeros._BLOCK_POINTS // per_n)
 
@@ -190,10 +191,10 @@ def _audit_window(F, epsilon, ns):
 def trivial_zero_audit(F, epsilon, n_range):
     """Zero counts in the disks around -2n - mu_r, one report per n >= 0.
 
-    Winding runs over covering squares of side 2 epsilon; squares whose
-    centers nearly coincide are merged so shared zeros count once.  The
-    squares are wound window by window (_window_width), each window in one
-    call, and the first winding error, in order of n, is raised.
+    Winding runs over covering squares of side 2 epsilon, one per distinct
+    center, which epsilon <= 1/2 keeps apart (_disk_squares).  The squares
+    are wound window by window (_window_width), each window in one call,
+    and the first winding error, in order of n, is raised.
     """
     if not 0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 0.5]")
@@ -276,19 +277,6 @@ def admissible_start(F, epsilon, run=5, n_limit=1 << 17):
             raise ScanFailed(
                 f"no run of {run} admissible n up to {n_limit}"
             )
-
-
-def _merge_centers(centers, min_sep):
-    """Greedy merge of centers closer than min_sep (their squares overlap)."""
-    merged = []
-    for c in sorted(centers, key=lambda z: (z.real, z.imag)):
-        for i, m in enumerate(merged):
-            if abs(c - m) < min_sep:
-                merged[i] = (m + c) / 2
-                break
-        else:
-            merged.append(c)
-    return merged
 
 
 @dataclass

@@ -29,7 +29,9 @@ Re >= 8, as a power series too (_loggamma); numpy is the only dependency.
 One truncated series product over the monomials (_sum_monomials) gives
 expression values, F'/F for Newton, the pole order, and both sides of the
 reflection checks, F(1 - s, dual) and its main term, from one reflected
-table per L-function (asymptotic_fe_main).
+table per L-function (asymptotic_fe_main).  eval_F_scaled_batch alone
+assembles F at a point; eval_F_batch, eval_F and eval_F_with_prime fold
+its u e^g.
 """
 
 from __future__ import annotations
@@ -764,11 +766,13 @@ def _orders(F, n):
     return needed
 
 
-def _F_scaled(F, S, rel_tol, n=1):
-    """F(s + e) over S as a series to order n - 1, (u, g, mass) as
-    _sum_monomials gives it: row k of u exp(g) is F^(k)(s) / k!, so n = 2
-    carries F' for Newton."""
+def eval_F_scaled_batch(F, S, rel_tol=1e-9, prime=False):
+    """(u, g) with F(s) = u exp(g) over S, usable arbitrarily far left of
+    the strip; with prime, (u, g, d) with d = F'(s) / F(s), in which g
+    cancels.  The one assembler of F: a derivative table per L-function,
+    one order deeper with prime, and one _sum_monomials over them."""
     S = np.atleast_1d(np.asarray(S, dtype=complex))
+    n = 1 + prime
     tables = {
         fid: lfunc_derivatives_scaled(F.lfuncs[fid], S, lmax, rel_tol)
         for fid, lmax in _orders(F, n).items()
@@ -779,33 +783,26 @@ def _F_scaled(F, S, rel_tol, n=1):
         D, G = tables[fid]
         return D[l : l + n] / fact, G
 
-    return _sum_monomials(F.monomials, factor, n, S.size)
+    u, g, _ = _sum_monomials(F.monomials, factor, n, S.size)
+    return (u[0], g, u[1] / u[0]) if prime else (u[0], g)
 
 
 def eval_F_batch(F, S, rel_tol=1e-9):
-    """(values, error estimates) of the expression F over an array of points."""
-    u, g, mass = _F_scaled(F, S, rel_tol)
-    scale = np.exp(g)
-    return u[0] * scale, rel_tol * (mass[0] * scale) * (len(F.monomials) + F.max_deriv)
+    """Values u exp(g) of the expression F over an array of points."""
+    u, g = eval_F_scaled_batch(F, S, rel_tol)
+    return u * np.exp(g)
 
 
 def eval_F(F, s, rel_tol=1e-9):
     """Value of the expression F at a single point."""
-    return complex(eval_F_batch(F, np.array([s]), rel_tol)[0][0])
+    return complex(eval_F_batch(F, [s], rel_tol)[0])
 
 
 def eval_F_with_prime(F, s, rel_tol=1e-9):
-    """(F(s), F'(s)) for Newton refinement."""
-    u, g, _ = _F_scaled(F, np.array([s]), rel_tol, 2)
-    scale = np.exp(g[0])
-    return complex(u[0, 0] * scale), complex(u[1, 0] * scale)
-
-
-def eval_F_scaled_batch(F, S, rel_tol=1e-9, prime=False):
-    """(u, g) with F(s) = u exp(g), usable arbitrarily far left of the strip;
-    with prime, (u, g, d) with d = F'(s) / F(s), in which g cancels."""
-    u, g, _ = _F_scaled(F, S, rel_tol, 1 + prime)
-    return (u[0], g, u[1] / u[0]) if prime else (u[0], g)
+    """(F(s), F'(s)) for Newton refinement, as (v, v d) of the scaled batch."""
+    u, g, d = eval_F_scaled_batch(F, [s], rel_tol, prime=True)
+    v = complex(u[0] * np.exp(g[0]))
+    return v, v * complex(d[0])
 
 
 # --- functional-equation pieces ------------------------------------------
@@ -860,7 +857,7 @@ def asymptotic_fe_main(F, S, rel_tol=1e-9):
 
     One _reflected table per L-function, to the highest order F takes of
     it and gated as every derivative table, gives both, through
-    _sum_monomials as _F_scaled does: F from the rows l! C[l] =
+    _sum_monomials as eval_F_scaled_batch does: F from the rows l! C[l] =
     L^(l)(1 - s, dual) over every monomial, and the main term from their
     leading asymptotics b_factor C[0] over the leading monomials J.
     RegionViolation is raised if any point lies outside the valid region.

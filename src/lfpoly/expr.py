@@ -24,7 +24,7 @@ import numpy as np
 from . import characters as chars
 from .constants import LOG_2PI_E, TWO_PI
 from .errors import AssumptionViolated, LfpolyError, NumericallyAmbiguous, ZeroExpression
-from .evaluate import _gate, _hurwitz_batch, _sum_monomials, eval_F
+from .evaluate import _gate, _hurwitz_batch, _sum_monomials, eval_F_scaled_batch
 
 _ZERO_COEFF_TOL = 1e-14
 _SUMCJ_REL_TOL = 1e-12
@@ -91,10 +91,6 @@ class PolyExpression:
         # zeros imports this module, so the import waits until first use
         from . import zeros
         return zeros.zero_free_bounds(self)
-
-    @property
-    def max_deriv(self):
-        return max((l for m in self.monomials for _, l, _ in m.factors), default=0)
 
     def referenced_ids(self):
         return sorted({fid for m in self.monomials for fid, _, _ in m.factors})
@@ -389,12 +385,13 @@ def pole_order(F: PolyExpression) -> int:
 
 
 def _numeric_pole_probe(F):
+    """The pole order that |F| = |u| e^g at s = 1.01 and 1.001, from one
+    scaled batch, suggests; None on an LfpolyError or where F vanishes."""
     try:
-        v1 = abs(eval_F(F, 1 + 1e-2 + 0j, 1e-9))
-        v2 = abs(eval_F(F, 1 + 1e-3 + 0j, 1e-9))
+        u, g = eval_F_scaled_batch(F, [1.01, 1.001], 1e-9)
     except LfpolyError:
         return None
-    if v1 == 0 or v2 == 0:
+    if not np.all(u):
         return None
-    est = (math.log(v2) - math.log(v1)) / math.log(10.0)
+    est = (math.log(abs(u[1])) + g[1] - math.log(abs(u[0])) - g[0]) / math.log(10.0)
     return max(0, round(est))

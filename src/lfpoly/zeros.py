@@ -4,7 +4,8 @@ Windings of rectangles from the phase changes along their distinct edges,
 each refined once however many rectangles share it (_wind), zeros in
 rounds of boxes, each round one lockstep Newton from the contour's
 moments over every open box, with quadrisection as the fallback,
-zero-free strip bounds E1/E2, and banded nontrivial-zero counting.
+zero-free strip bounds E1/E2, and banded nontrivial-zero counting over
+F.strip, which no function here takes as an argument.
 Every F value comes from eval_F_scaled_batch as u e^g: contours take u
 and g, Newton steps on d = F'/F, and residuals are |u| e^g.
 """
@@ -28,7 +29,7 @@ from .errors import (
     PhaseUnresolved,
 )
 from . import expr as _expr
-from .evaluate import _reflection_region, asymptotic_fe_ratio, eval_F_scaled_batch
+from .evaluate import asymptotic_fe_ratio, eval_F_scaled_batch
 
 log = logging.getLogger(__name__)
 
@@ -106,10 +107,10 @@ class StripBounds:
     E1method: str  # "scan" or "default"
 
 
-def _edge_points(a, b, step0):
+def _edge_points(a, b):
     """Initial samples of the edge from a to b, both ends included, at
-    most step0 apart and at least three."""
-    n = max(2, int(abs(b - a) / step0) + 1)
+    most _STEP0 apart and at least three."""
+    n = max(2, int(abs(b - a) / _STEP0) + 1)
     pts = a + (b - a) * np.arange(n + 1) / n
     pts[-1] = b
     return pts
@@ -121,7 +122,7 @@ def _phase_diffs(vals):
     return (d + np.pi) % (2 * np.pi) - np.pi
 
 
-def _refine(ev, edges, step0):
+def _refine(ev, edges):
     """Per straight edge (a, b): (delta arg, samples, phase carriers, log
     magnitudes), or the error that ended it.
 
@@ -136,7 +137,7 @@ def _refine(ev, edges, step0):
     out = [None] * len(edges)
     if not edges:
         return out
-    parts = [_edge_points(a, b, step0) for a, b in edges]
+    parts = [_edge_points(a, b) for a, b in edges]
     eid = np.repeat(np.arange(len(edges)), [p.size for p in parts])
     z = np.concatenate(parts)
     distinct, back = np.unique(z, return_inverse=True)
@@ -235,8 +236,7 @@ def _turns(F, rect, edges, moments):
     return _zero_moments(F, rect, edges, round(w)) if moments else round(w)
 
 
-def _wind(F, at, cells, moves=(), moments=False, step0=_STEP0, done=None,
-          tally=None):
+def _wind(F, at, cells, moves=(), moments=False, done=None, tally=None):
     """(winding, rectangle used) for each cell (left, right, bottom, top)
     of indices into at, the positions of the lines the cells' sides lie on.
 
@@ -274,7 +274,7 @@ def _wind(F, at, cells, moves=(), moments=False, step0=_STEP0, done=None,
         sides = [_sides(pos, cell) for cell in cells]
         new = list(dict.fromkeys(e[:2] for s in sides for e in s
                                  if e[:2] not in done))
-        done.update(zip(new, _refine(ev, new, step0)))
+        done.update(zip(new, _refine(ev, new)))
         grazed = {line for s in sides for a, b, line, _ in s
                   if isinstance(done[a, b], BoundaryTooClose)
                   and line in tries and tries[line] + 1 < len(_OFFSETS)}
@@ -307,7 +307,7 @@ def _first_error(wound):
     return wound
 
 
-def winding_count(F, rect: Rectangle, step0=_STEP0):
+def winding_count(F, rect: Rectangle):
     """Z - P of F inside rect by boundary phase accumulation.
 
     Counterclockwise boundary, adaptive sample insertion where consecutive
@@ -315,17 +315,17 @@ def winding_count(F, rect: Rectangle, step0=_STEP0):
     moves: a boundary that grazes a zero raises BoundaryTooClose.
     """
     at = (rect.sigma_lo, rect.sigma_hi, rect.t_lo, rect.t_hi)
-    [(w, _)] = _first_error(_wind(F, at, [range(4)], step0=step0))
+    [(w, _)] = _first_error(_wind(F, at, [range(4)]))
     return w
 
 
-def _wind_block(F, strip, ys, done, moments):
-    """_wind over the bands [E1, E2] x [ys[i], ys[i + 1]] of one block,
-    logged as one record.  Band heights are the lines that may move,
-    except ys[0] when done already holds its edge, wound by the block
-    before."""
+def _wind_block(F, ys, done, moments):
+    """_wind over the bands [E1, E2] x [ys[i], ys[i + 1]] of one block, E1
+    and E2 those of F.strip, logged as one record.  Band heights are the
+    lines that may move, except ys[0] when done already holds its edge,
+    wound by the block before."""
     tally = Counter()
-    at = [strip.E1, strip.E2, *ys]
+    at = [F.strip.E1, F.strip.E2, *ys]
     cells = [(0, 1, j, j + 1) for j in range(2, len(at) - 1)]
     out = _wind(F, at, cells, range(2 + bool(done), len(at)), moments,
                 done=done, tally=tally)
@@ -533,25 +533,21 @@ def zero_free_bounds(F) -> StripBounds:
 
 
 def _scan_line_dominates(F, sigma, tgrid, tally):
-    """True if the main term dominates at every valid height of the line:
-    F(1 - s, dual) is within half the main term of it.
+    """True if the main term dominates at every height of the line: F(1 -
+    s, dual) is within half the main term of it.  Every s = (1 - sigma) +
+    it lies in the reflection region, as Re s >= 2 and t >= 2.
 
     Heights go _SCAN_CHUNK at a time, one evaluation each, and the scan
     stops with the chunk that holds the first height where it does not;
     tally counts the points evaluated.
     """
-    checked = False
     for i in range(0, len(tgrid), _SCAN_CHUNK):
         s = (1 - sigma) + 1j * tgrid[i : i + _SCAN_CHUNK]
-        s = s[_reflection_region(F, s)]
-        if not s.size:
-            continue
         tally["points"] += s.size
         ratio = asymptotic_fe_ratio(F, s, 1e-6)
         if not np.all(np.abs(ratio - 1) < 0.5):
             return False
-        checked = True
-    return checked
+    return True
 
 
 # --- banded counting ------------------------------------------------------
@@ -585,9 +581,10 @@ def _band_edges(T1, T2, seed):
     return edges
 
 
-def _wound_bands(F, T1, T2, strip, seed, moments=False):
+def _wound_bands(F, T1, T2, seed, moments=False):
     """The (winding, rectangle used) of each unit band [E1, E2] x [a, b] of
-    the window (T1, T2), as _wind gives it, with moments if asked; in order.
+    the window (T1, T2), E1 and E2 those of F.strip, as _wind gives it,
+    with moments if asked; in order.
 
     Blocks of bands wind one after another (_wind_block), each from the
     height, and the wound edge, where the block before ended, so the bands
@@ -604,10 +601,10 @@ def _wound_bands(F, T1, T2, strip, seed, moments=False):
     if not T2 > T1 >= 0:
         raise ValueError("need 0 <= T1 < T2")
     heights = _band_edges(T1, T2, seed)
-    across = _edge_points(strip.E1, strip.E2, _STEP0).size
+    across = _edge_points(F.strip.E1, F.strip.E2).size
     blocks, size = [], _BLOCK_POINTS
     for a, b in zip(heights, heights[1:]):
-        n = across + 2 * _edge_points(a, b, _STEP0).size
+        n = across + 2 * _edge_points(a, b).size
         if size + n > _BLOCK_POINTS:
             blocks.append([a])
             size = 0
@@ -615,10 +612,10 @@ def _wound_bands(F, T1, T2, strip, seed, moments=False):
         size += n
     done, top = {}, heights[0]
     for ys in blocks:
-        wound = _first_error(_wind_block(F, strip, [top, *ys[1:]], done, moments))
+        wound = _first_error(_wind_block(F, [top, *ys[1:]], done, moments))
         yield from wound
         top = wound[-1][1].t_hi
-        key = (complex(strip.E1, top), complex(strip.E2, top))
+        key = (complex(F.strip.E1, top), complex(F.strip.E2, top))
         done = {key: done[key]}
 
 
@@ -632,6 +629,6 @@ def count_nontrivial(F, T1, T2, seed=0):
     is raised.
     """
     bands = [BandReport(r.t_lo, r.t_hi, w)
-             for w, r in _wound_bands(F, T1, T2, F.strip, seed)]
+             for w, r in _wound_bands(F, T1, T2, seed)]
     total = sum(b.count for b in bands)
     return CountResult(total=total, bands=bands)

@@ -196,6 +196,19 @@ def test_eval_F_composite_oracle():
         assert abs(got - ref) < 1e-7 * max(1.0, abs(ref)), s
 
 
+# eval_F_batch and eval_F fold the scaled evaluator's u e^g, bit for bit,
+# on both sides of sigma = -2
+def test_eval_F_folds_scaled_batch():
+    F = zpoly((2.0, [(1, 1), (0, 1)]), (-1.0j, [(2, 1)]))
+    S = np.array([2.0 + 3.0j, 0.5 + 21.0j, -1.5 + 0.5j, -30.0 + 5.0j])
+    u, g = ev.eval_F_scaled_batch(F, S, 1e-10)
+    assert g[-1] > 0
+    assert np.array_equal(ev.eval_F_batch(F, S, 1e-10), u * np.exp(g))
+    for s in S:
+        u, g = ev.eval_F_scaled_batch(F, [s], 1e-10)
+        assert ev.eval_F(F, s, rel_tol=1e-10) == complex(u[0] * np.exp(g[0])), s
+
+
 def _mp_l_chi4(z):
     return mp.power(4, -z) * (mp.zeta(z, mp.mpf(1) / 4) - mp.zeta(z, mp.mpf(3) / 4))
 
@@ -465,7 +478,7 @@ def test_em_contour_batch(lmax):
         at = [-1.0, 3.0, *Z._band_edges(1899.5, 1900.5 + 1.1 * nbands, 0)]
         cells = [(0, 1, j, j + 1) for j in range(2, nbands + 2)]
         edges = dict.fromkeys(e[:2] for c in cells for e in Z._sides(at, c))
-        S = np.unique(np.concatenate([Z._edge_points(a, b, Z._STEP0)
+        S = np.unique(np.concatenate([Z._edge_points(a, b)
                                       for a, b in edges]))
         assert np.unique(S.imag).size < S.size / 2
         N, _ = ev._em_size(S.real.min(), np.abs(S).max(), np.abs(S.imag).max(),

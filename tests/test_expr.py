@@ -269,9 +269,29 @@ def test_pole_probe_passes_programming_errors(monkeypatch):
     def broken(*args):
         raise TypeError("broken evaluator")
 
-    monkeypatch.setattr(E, "eval_F", broken)
+    monkeypatch.setattr(E, "eval_F_scaled_batch", broken)
     with pytest.raises(TypeError, match="broken evaluator"):
         E.pole_order(zpoly((1.0, [(0, 1)])))
+
+
+def test_profile_makes_one_kernel_call(monkeypatch):
+    # zeta' has P = 2, so its Laurent rows at s = 1 are the pole's alone,
+    # and the numeric probe takes both radii in one scaled batch: building
+    # its profile is one kernel call, of two points
+    from lfpoly import evaluate as ev
+
+    calls = []
+    real = ev._hurwitz_batch
+
+    def counted(S, *args, **kw):
+        calls.append(len(S))
+        return real(S, *args, **kw)
+
+    monkeypatch.setattr(ev, "_hurwitz_batch", counted)
+    monkeypatch.setattr(E, "_hurwitz_batch", counted)
+    F = zpoly((1.0, [(1, 1)]))
+    assert F.profile.p_F == 2
+    assert calls == [2]
 
 
 def test_pole_order_gates_table_at_1():

@@ -43,7 +43,7 @@ def test_boundary_through_zero_raises(zeta_expr):
     g1 = float(mp.im(mp.zetazero(1)))
     rect = Z.Rectangle(0.5, 1.5, 14.0, g1)
     with pytest.raises(BoundaryTooClose):
-        Z.winding_count(rect=rect, F=zeta_expr, step0=g1 - 14.0)
+        Z.winding_count(rect=rect, F=zeta_expr)
     # the retry recovers: the two sides through the zero move off it
     [(w, _)] = Z._wind_each(zeta_expr, [rect])
     assert w in (0, 1)
@@ -70,8 +70,7 @@ def test_nan_samples_end_their_cell(zeta_expr, monkeypatch):
 def test_lockstep_matches_single_loops(k):
     # one engine call over several rectangles, none of whose sides may
     # move, gives each rectangle what its own winding gives, and the
-    # rectangle through a zero fails alone; the coarse first samples make
-    # several rectangles refine in the same rounds
+    # rectangle through a zero fails alone
     F = zpoly((1.0, [(0, k)]))
     g1 = float(mp.im(mp.zetazero(1)))
     cases = [
@@ -83,15 +82,15 @@ def test_lockstep_matches_single_loops(k):
     ]
     at = [x for r, _ in cases for x in (r.sigma_lo, r.sigma_hi, r.t_lo, r.t_hi)]
     cells = [range(i, i + 4) for i in range(0, len(at), 4)]
-    got = Z._wind(F, at, cells, step0=1.0)
+    got = Z._wind(F, at, cells)
     for (rect, want), (g, used) in zip(cases, got):
         assert used == rect
         if want is BoundaryTooClose:
             assert isinstance(g, BoundaryTooClose)
             with pytest.raises(BoundaryTooClose):
-                Z.winding_count(F, rect, 1.0)
+                Z.winding_count(F, rect)
         else:
-            assert g == want == Z.winding_count(F, rect, 1.0)
+            assert g == want == Z.winding_count(F, rect)
 
 
 def test_band_blocks_logged(zeta_expr, caplog):
@@ -196,8 +195,7 @@ def test_locate_window_as_bands(zeta_prime, monkeypatch):
     shapes, newton = _record_groups(monkeypatch)
     zs = A.zero_list(zeta_prime, 14, 200)
     assert any(len(groups) > 1 for _, groups in newton)
-    alone = [z for w in Z._wound_bands(zeta_prime, 14, 200, zeta_prime.strip, 0,
-                                       moments=True)
+    alone = [z for w in Z._wound_bands(zeta_prime, 14, 200, 0, moments=True)
              for z in Z.locate_zeros(zeta_prime, w[1], [w]) if 14 < z.gamma < 200]
     assert len(zs) == len(alone) > 50
     for z, y in zip(zs, alone):
@@ -256,10 +254,11 @@ def test_newton_steps_per_zero(zeta_prime, monkeypatch):
     # prime, so the steps are the points of those calls, and the residuals
     # come from one order-0 call after the last round.  Every F evaluation
     # of the zero engine, steps and residuals too, comes through
-    # Z.eval_F_scaled_batch; the strip and profile, built here first,
-    # evaluate F their own ways
+    # Z.eval_F_scaled_batch: no series product over the monomials runs
+    # outside it.  The strip and profile, built here first, evaluate F
+    # their own ways
     zeta_prime.strip, zeta_prime.profile
-    real, real_F = Z.eval_F_scaled_batch, ev._F_scaled
+    real, real_F = Z.eval_F_scaled_batch, ev._sum_monomials
     calls, inside, outside = [], [], []
 
     def counted(*args, **kw):
@@ -276,7 +275,7 @@ def test_newton_steps_per_zero(zeta_prime, monkeypatch):
         return real_F(*args)
 
     monkeypatch.setattr(Z, "eval_F_scaled_batch", counted)
-    monkeypatch.setattr(ev, "_F_scaled", checked)
+    monkeypatch.setattr(ev, "_sum_monomials", checked)
     zs = A.zero_list(zeta_prime, 14, 80)
     assert len(zs) == 13 and all(z.method == "newton" for z in zs)
     assert outside == []
